@@ -18,12 +18,13 @@ independent uses never share draws.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import List, Tuple, Union
 
 import numpy as np
 
-from .hiertree import HierTree, Split
+from .hiertree import HierTree, Split, _divide
 from .metricspace import DistanceMatrix, PointSet, _one_means_cost
 
 
@@ -61,7 +62,8 @@ class TwoMeansSolverConfig:
     `exhaustive` enumerates all 2^(m-1) - 1 bipartitions and refuses sets
     larger than `max_exhaustive_n`; `lloyd` runs `lloyd_restarts` k-means++
     seeded Lloyd iterations and keeps the best. `lloyd_tol` is relative to
-    the current set's diameter.
+    the current set's diameter. `max_exhaustive_n` is at most 64, the widest
+    set whose 2^(m-1) bipartition masks fit in int64.
     """
 
     kind: str = "exhaustive"
@@ -74,6 +76,14 @@ class TwoMeansSolverConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("exhaustive", "lloyd"):
             raise ValueError(f"solver kind must be 'exhaustive' or 'lloyd', got {self.kind!r}")
+        if not 1 <= self.max_exhaustive_n <= 64:
+            raise ValueError(f"max_exhaustive_n must be in 1..64, got {self.max_exhaustive_n}")
+        if self.lloyd_restarts < 1:
+            raise ValueError(f"lloyd_restarts must be at least 1, got {self.lloyd_restarts}")
+        if self.lloyd_max_iters < 1:
+            raise ValueError(f"lloyd_max_iters must be at least 1, got {self.lloyd_max_iters}")
+        if not (self.lloyd_tol >= 0.0 and np.isfinite(self.lloyd_tol)):
+            raise ValueError(f"lloyd_tol must be finite and nonnegative, got {self.lloyd_tol}")
 
 
 # ----------------------------------------------------------------------
@@ -138,7 +148,7 @@ def _exhaustive_two_means(coords: np.ndarray, ids: np.ndarray) -> Tuple[Split, f
 def _subset_diameter(pts: np.ndarray) -> float:
     m = len(pts)
     dmax = 0.0
-    step = max(1, int(2e6 // max(1, m)))
+    step = max(1, int(4e6 // max(1, m * pts.shape[1])))
     for s in range(0, m, step):
         diff = pts[s : s + step, None, :] - pts[None, :, :]
         dmax = max(dmax, float((diff * diff).sum(axis=2).max()))
@@ -237,31 +247,19 @@ def bisecting_kmeans(points: PointSet, config: TwoMeansSolverConfig) -> HierTree
     own substream, keyed by the node's visit number, so the whole tree is a
     pure function of the input and config.seed.
     """
-    n = points.n
-    if n == 1:
-        return HierTree([0], 0)
     coords = points.coords
     base = RngStream(config.seed)
-    nodes: List[Union[None, int, Tuple[int, int]]] = [None]
-    stack: List[Tuple[np.ndarray, int]] = [(np.arange(n, dtype=np.intp), 0)]
-    counter = 0
-    while stack:
-        ids, slot = stack.pop()
+    visits = itertools.count()
+
+    def expand(ids: np.ndarray, nid: int):
         if len(ids) == 1:
-            nodes[slot] = int(ids[0])
-            continue
-        split, _ = _solve_two_means(coords, ids, config, base.substream(counter))
-        counter += 1
+            return int(ids[0])
+        split, _ = _solve_two_means(coords, ids, config, base.substream(next(visits)))
         left = np.array(sorted(split.left_set), dtype=np.intp)
         right = np.array(sorted(split.right_set), dtype=np.intp)
-        la = len(nodes)
-        nodes.append(None)
-        rb = len(nodes)
-        nodes.append(None)
-        nodes[slot] = (la, rb)
-        stack.append((right, rb))
-        stack.append((left, la))
-    return HierTree(nodes, 0)
+        return left, right
+
+    return HierTree(_divide(np.arange(points.n, dtype=np.intp), expand), 0)
 
 
 def random_tree(n_or_points: Union[int, PointSet], rng: RngStream) -> HierTree:
@@ -275,31 +273,18 @@ def random_tree(n_or_points: Union[int, PointSet], rng: RngStream) -> HierTree:
     n = int(n)
     if n < 1:
         raise ValueError("need at least one point")
-    if n == 1:
-        return HierTree([0], 0)
     g = rng.generator()
-    nodes: List[Union[None, int, Tuple[int, int]]] = [None]
-    stack: List[Tuple[np.ndarray, int]] = [(np.arange(n, dtype=np.intp), 0)]
-    while stack:
-        ids, slot = stack.pop()
+
+    def expand(ids: np.ndarray, nid: int):
         if len(ids) == 1:
-            nodes[slot] = int(ids[0])
-            continue
+            return int(ids[0])
         while True:
             flips = g.integers(0, 2, size=len(ids))
             k = int(flips.sum())
             if 0 < k < len(ids):
-                break
-        left = ids[flips == 1]
-        right = ids[flips == 0]
-        la = len(nodes)
-        nodes.append(None)
-        rb = len(nodes)
-        nodes.append(None)
-        nodes[slot] = (la, rb)
-        stack.append((right, rb))
-        stack.append((left, la))
-    return HierTree(nodes, 0)
+                return ids[flips == 1], ids[flips == 0]
+
+    return HierTree(_divide(np.arange(n, dtype=np.intp), expand), 0)
 
 
 # ----------------------------------------------------------------------

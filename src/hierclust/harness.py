@@ -276,8 +276,15 @@ class ExperimentConfig:
         for o in self.objectives:
             if o not in OBJECTIVES:
                 raise ValueError(f"unknown objective {o!r}")
-        if self.solver not in ("exhaustive", "lloyd"):
-            raise ValueError(f"unknown solver {self.solver!r}")
+        self._solver_config(seed=0)  # validates the solver fields
+
+    def _solver_config(self, seed: int) -> TwoMeansSolverConfig:
+        return TwoMeansSolverConfig(
+            kind=self.solver,
+            max_exhaustive_n=self.max_exhaustive_n,
+            lloyd_restarts=self.lloyd_restarts,
+            seed=seed,
+        )
 
 
 @dataclass(frozen=True)
@@ -306,21 +313,23 @@ def _load_dataset(config: ExperimentConfig) -> PointSet:
     return config.synthetic.build()
 
 
-def _build_tree(name: str, points: PointSet, config: ExperimentConfig, rng: RngStream) -> HierTree:
+def _build_tree(
+    name: str,
+    points: PointSet,
+    dist: Optional[DistanceMatrix],
+    solver: TwoMeansSolverConfig,
+    rng: RngStream,
+) -> HierTree:
+    """One algorithm's tree; `dist` must be the points' distances for avg and single."""
     if name == "bkm":
-        solver = TwoMeansSolverConfig(
-            kind=config.solver,
-            max_exhaustive_n=config.max_exhaustive_n,
-            lloyd_restarts=config.lloyd_restarts,
-            seed=rng.seed_int(),
-        )
         return bisecting_kmeans(points, solver)
-    if name == "avg":
-        return average_linkage(pairwise_distances(points))
-    if name == "single":
-        return single_linkage(pairwise_distances(points))
     if name == "random":
         return random_tree(points.n, rng)
+    assert dist is not None
+    if name == "avg":
+        return average_linkage(dist)
+    if name == "single":
+        return single_linkage(dist)
     raise ValueError(f"unknown algorithm {name!r}")
 
 
@@ -356,7 +365,7 @@ def run_table1(config: ExperimentConfig) -> Tuple[List[StatsRow], str]:
         dist = pairwise_distances(sub) if needs_dist else None
         for name in config.algorithms:
             rng = RngStream(config.base_seed).substream(r, _ALGO_KEY[name])
-            tree = _build_tree(name, sub, config, rng)
+            tree = _build_tree(name, sub, dist, config._solver_config(rng.seed_int()), rng)
             for objective in config.objectives:
                 raw.setdefault((name, objective), []).append(
                     _objective_value(objective, sub, dist, tree)
@@ -576,16 +585,9 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     points = _load_points(args)
-    rng = RngStream(args.seed)
-    if args.algo == "bkm":
-        config = TwoMeansSolverConfig(kind=args.solver, lloyd_restarts=args.restarts, seed=args.seed)
-        tree = bisecting_kmeans(points, config)
-    elif args.algo == "avg":
-        tree = average_linkage(pairwise_distances(points))
-    elif args.algo == "single":
-        tree = single_linkage(pairwise_distances(points))
-    else:
-        tree = random_tree(points.n, rng)
+    solver = TwoMeansSolverConfig(kind=args.solver, lloyd_restarts=args.restarts, seed=args.seed)
+    dist = pairwise_distances(points) if args.algo in ("avg", "single") else None
+    tree = _build_tree(args.algo, points, dist, solver, RngStream(args.seed))
     _write_or_print(tree.serialize() + "\n", args.out)
     return 0
 
@@ -647,11 +649,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         output=args.out,
         solver=args.solver,
         lloyd_restarts=args.restarts,
-        ingest=IngestOptions(
-            columns=tuple(int(c) for c in args.columns.split(",")) if args.columns else None,
-            skip_header=args.skip_header,
-            delimiter=args.delimiter,
-        ),
+        ingest=_ingest_options(args),
     )
     _, text = run_table1(config)
     if not args.out:

@@ -6,19 +6,28 @@ semantically unordered; wherever an order matters (serialization, split
 listings) the child containing the smallest leaf index comes first, which
 makes the serialized text a topology invariant usable for deduplication.
 
+Node ids: every top-down builder (`HierTree.from_nested`, `parse`,
+bisecting 2-means, random splitting, generating trees) numbers nodes the
+same way. The root is 0, and each internal node's two children take the
+next two free ids, left child first, in depth-first order with the left
+subtree expanded before the right one.
+
 Text format::
 
-    tree := leaf | "(" tree "," tree ")"
-    leaf := decimal point index
+    tree   := leaf | "(" tree "," tree ")" [":" weight]
+    leaf   := decimal point index
+    weight := unsigned decimal number, optionally with an exponent
 
-Whitespace between tokens is ignored. Example: ``((0,1),2)``.
+Whitespace between tokens is ignored, but ``)``, ``:`` and the weight are
+written together. `parse` rejects weights; `UltrametricSpec.parse` requires
+one after every ``)``. Examples: ``((0,1),2)`` and ``((0,1):1.0,2):2.0``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -171,25 +180,7 @@ class HierTree:
     @classmethod
     def from_nested(cls, nested: Nested) -> "HierTree":
         """Build from nested tuples: a leaf index or (left, right) pairs."""
-        nodes: List[Optional[NodeSpec]] = [None]
-        stack: List[Tuple[Nested, int]] = [(nested, 0)]
-        while stack:
-            spec, slot = stack.pop()
-            if isinstance(spec, (int, np.integer)):
-                nodes[slot] = int(spec)
-                continue
-            try:
-                a, b = spec
-            except (TypeError, ValueError):
-                raise ValueError("nested entries must be ints or (left, right) pairs")
-            la = len(nodes)
-            nodes.append(None)
-            rb = len(nodes)
-            nodes.append(None)
-            nodes[slot] = (la, rb)
-            stack.append((b, rb))
-            stack.append((a, la))
-        return cls(nodes, 0)
+        return cls(_divide(nested, _nested_children), 0)
 
     def to_nested(self) -> Nested:
         """Nested-tuple view with the canonical (smallest leaf first) order."""
@@ -286,25 +277,7 @@ class HierTree:
 
     def serialize(self) -> str:
         """Canonical parenthesis text; see the module docstring for the grammar."""
-        out: List[str] = []
-        stack: List[Tuple[str, object]] = [("node", self.root)]
-        while stack:
-            op, x = stack.pop()
-            if op == "text":
-                out.append(x)  # type: ignore[arg-type]
-                continue
-            nid = x  # type: ignore[assignment]
-            v = self.nodes[nid]
-            if isinstance(v, int):
-                out.append(str(v))
-            else:
-                a, b = self._ordered_children(nid)
-                out.append("(")
-                stack.append(("text", ")"))
-                stack.append(("node", b))
-                stack.append(("text", ","))
-                stack.append(("node", a))
-        return "".join(out)
+        return _to_text(self, lambda nid: "")
 
     # ------------------------------------------------------------------
     # equality on topology via the canonical text
@@ -337,26 +310,84 @@ def serialize(tree: HierTree) -> str:
     return tree.serialize()
 
 
+# ----------------------------------------------------------------------
+# the one top-down builder and the one tree-text codec
+
+
+def _divide(root: object, expand: Callable[[object, int], object]) -> List[NodeSpec]:
+    """Node list of a tree grown top-down from `root`, numbered as the module docstring says.
+
+    `expand(item, nid)` returns the point index of a leaf or a pair of child
+    items. It is called once per node, depth-first with the left subtree
+    first, which fixes the order in which builders draw random numbers.
+    """
+    nodes: List[Optional[NodeSpec]] = [None]
+    stack: List[Tuple[object, int]] = [(root, 0)]
+    while stack:
+        item, nid = stack.pop()
+        out = expand(item, nid)
+        if isinstance(out, tuple):
+            left, right = out
+            la = len(nodes)
+            nodes += [None, None]
+            nodes[nid] = (la, la + 1)
+            stack.append((right, la + 1))
+            stack.append((left, la))
+        else:
+            nodes[nid] = out  # type: ignore[assignment]
+    return nodes  # type: ignore[return-value]
+
+
+def _nested_children(spec: Nested, nid: int) -> Union[int, Tuple[Nested, Nested]]:
+    if isinstance(spec, (int, np.integer)):
+        return int(spec)
+    try:
+        a, b = spec  # type: ignore[misc]
+    except (TypeError, ValueError):
+        raise ValueError("nested entries must be ints or (left, right) pairs")
+    return a, b
+
+
+def _to_text(tree: HierTree, suffix: Callable[[int], str]) -> str:
+    """Canonical text of `tree`, writing suffix(nid) after each internal node's ')'."""
+    out: List[str] = []
+    stack: List[Union[int, str]] = [tree.root]  # node ids, or literal text
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            out.append(x)
+            continue
+        v = tree.nodes[x]
+        if isinstance(v, int):
+            out.append(str(v))
+        else:
+            a, b = tree._ordered_children(x)
+            out.append("(")
+            stack += (")" + suffix(x), b, ",", a)
+    return "".join(out)
+
+
 _INT_RE = re.compile(r"\d+")
+_NUM_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 
 
-def parse(text: str) -> HierTree:
-    """Parse the parenthesis format back into a tree.
+def _parse_text(text: str, weighted: bool) -> Tuple[HierTree, Dict[int, Optional[float]]]:
+    """Parse tree text into a tree and its internal-node weights (None unless `weighted`).
 
-    Syntax errors raise TreeParseError with the offending position; a
-    duplicate leaf index is reported at its token, missing indices at the
-    end of the text.
+    `weighted` requires ':weight' after every ')'; otherwise a ':' is rejected.
+    The modes keep their own messages for empty or unbalanced text, and only
+    the unweighted one reports missing leaf indices before tree validation.
     """
     # Stack items: ("open", pos) | ("comma", pos) | ("val", nested)
     stack: List[Tuple[str, object]] = []
     i = 0
     n_text = len(text)
-    leaf_positions: dict[int, int] = {}
+    seen: set[int] = set()
 
-    def push_value(value: Nested, pos: int) -> None:
+    def push(kind: str, item: object, pos: int) -> None:
         if stack and stack[-1][0] == "val":
             raise TreeParseError("expected ',' or ')'", pos)
-        stack.append(("val", value))
+        stack.append((kind, item))
 
     while i < n_text:
         ch = text[i]
@@ -364,9 +395,7 @@ def parse(text: str) -> HierTree:
             i += 1
             continue
         if ch == "(":
-            if stack and stack[-1][0] == "val":
-                raise TreeParseError("expected ',' or ')'", i)
-            stack.append(("open", i))
+            push("open", i, i)
             i += 1
         elif ch == ",":
             if len(stack) < 2 or stack[-1][0] != "val" or stack[-2][0] != "open":
@@ -382,34 +411,63 @@ def parse(text: str) -> HierTree:
                 or stack[-4][0] != "open"
             ):
                 raise TreeParseError("unexpected ')'", i)
+            i += 1
+            weight = None
+            if weighted:
+                if i >= n_text or text[i] != ":":
+                    raise TreeParseError("expected ':weight' after ')'", i)
+                m = _NUM_RE.match(text, i + 1)
+                if not m:
+                    raise TreeParseError("expected a weight", i + 1)
+                weight = float(m.group())
+                i = m.end()
             _, right = stack.pop()
             stack.pop()
             _, left = stack.pop()
-            stack.pop()
-            push_value((left, right), i)
-            i += 1
+            stack[-1] = ("val", (left, right, weight))  # replaces the matching "open"
         else:
             m = _INT_RE.match(text, i)
             if not m:
                 raise TreeParseError(f"unexpected character {ch!r}", i)
             value = int(m.group())
-            if value in leaf_positions:
+            if value in seen:
                 raise TreeParseError(f"duplicate leaf index {value}", i)
-            leaf_positions[value] = i
-            push_value(value, i)
+            seen.add(value)
+            push("val", value, i)
             i = m.end()
 
-    if not stack:
+    if not stack and not weighted:
         raise TreeParseError("empty input", 0)
     if len(stack) != 1 or stack[0][0] != "val":
-        pos = stack[-1][1] if stack[-1][0] != "val" else n_text
-        raise TreeParseError("unbalanced tree text", int(pos))  # type: ignore[arg-type]
+        pos = stack[-1][1] if stack and stack[-1][0] != "val" else n_text
+        kind = "spec" if weighted else "tree"
+        raise TreeParseError(f"unbalanced {kind} text", int(pos))  # type: ignore[arg-type]
+    if not weighted:
+        n = len(seen)
+        missing = sorted(set(range(n)) - seen)
+        if missing:
+            raise ValueError(f"leaf indices must cover 0..{n - 1}; missing {missing}")
 
-    n = len(leaf_positions)
-    missing = sorted(set(range(n)) - set(leaf_positions))
-    if missing:
-        raise ValueError(f"leaf indices must cover 0..{n - 1}; missing {missing}")
-    return HierTree.from_nested(stack[0][1])
+    weights: Dict[int, Optional[float]] = {}
+
+    def expand(item: object, nid: int) -> object:
+        if isinstance(item, int):
+            return item
+        left, right, weight = item  # type: ignore[misc]
+        weights[nid] = weight
+        return left, right
+
+    return HierTree(_divide(stack[0][1], expand), 0), weights
+
+
+def parse(text: str) -> HierTree:
+    """Parse the parenthesis format back into a tree.
+
+    Syntax errors raise TreeParseError with the offending position; a
+    duplicate leaf index is reported at its token, missing indices at the
+    end of the text.
+    """
+    return _parse_text(text, weighted=False)[0]
 
 
 def _insertions(t: Nested, leaf: int) -> Iterator[Nested]:

@@ -10,22 +10,20 @@ validate ultrametrics, generate random specs, embed them isometrically in
 Euclidean space, and build / verify trees that cut the largest distances
 first at every split.
 
-Annotated text format (the tree grammar with ``:weight`` after each internal
-node)::
-
-    ((0,1):1.0,(2,3):1.0):2.0
+Specs are written in the tree text format of `hiertree` with the optional
+``:weight`` present after every internal node, e.g.
+``((0,1):1.0,(2,3):1.0):2.0``; see that module's docstring for the grammar.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .algorithms import RngStream
-from .hiertree import HierTree, Split, TreeParseError
+from .hiertree import HierTree, Split, _divide, _parse_text, _to_text
 from .metricspace import DistanceMatrix, PointSet
 
 
@@ -53,10 +51,9 @@ class UltrametricSpec:
             for child in tree.children(nid):
                 if not tree.is_leaf(child) and weights[child] > weights[nid]:
                     raise ValueError("weights must be monotone: ancestors never lighter")
+        # Positive weights that never decrease toward the root already make
+        # the induced distances, copies of those weights, an ultrametric.
         object.__setattr__(self, "node_weights", weights)
-        ok, triple = check_ultrametric(self.induced_matrix(), tol=0.0)
-        if not ok:
-            raise ValueError(f"induced distances violate the ultrametric inequality at {triple}")
 
     @property
     def n(self) -> int:
@@ -74,121 +71,12 @@ class UltrametricSpec:
 
     def serialize(self) -> str:
         """Annotated tree text with ``:weight`` after each internal node."""
-        tree = self.topology
-        out: List[str] = []
-        stack: List[Tuple[str, object]] = [("node", tree.root)]
-        while stack:
-            op, x = stack.pop()
-            if op == "text":
-                out.append(x)  # type: ignore[arg-type]
-                continue
-            nid = x  # type: ignore[assignment]
-            if tree.is_leaf(nid):
-                out.append(str(tree.nodes[nid]))
-            else:
-                a, b = tree._ordered_children(nid)
-                out.append("(")
-                stack.append(("text", f"):{self.node_weights[nid]!r}"))
-                stack.append(("node", b))
-                stack.append(("text", ","))
-                stack.append(("node", a))
-        return "".join(out)
+        return _to_text(self.topology, lambda nid: f":{self.node_weights[nid]!r}")
 
     @classmethod
     def parse(cls, text: str) -> "UltrametricSpec":
         """Inverse of serialize(); raises TreeParseError with a position."""
-        return _parse_spec(text)
-
-
-_NUM_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
-_INT_RE = re.compile(r"\d+")
-
-_Annotated = Union[int, Tuple[object, object, float]]
-
-
-def _parse_spec(text: str) -> UltrametricSpec:
-    stack: List[Tuple[str, object]] = []
-    i = 0
-    n_text = len(text)
-    seen: set[int] = set()
-
-    def push_value(value: _Annotated, pos: int) -> None:
-        if stack and stack[-1][0] == "val":
-            raise TreeParseError("expected ',' or ')'", pos)
-        stack.append(("val", value))
-
-    while i < n_text:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "(":
-            if stack and stack[-1][0] == "val":
-                raise TreeParseError("expected ',' or ')'", i)
-            stack.append(("open", i))
-            i += 1
-        elif ch == ",":
-            if len(stack) < 2 or stack[-1][0] != "val" or stack[-2][0] != "open":
-                raise TreeParseError("unexpected ','", i)
-            stack.append(("comma", i))
-            i += 1
-        elif ch == ")":
-            if (
-                len(stack) < 4
-                or stack[-1][0] != "val"
-                or stack[-2][0] != "comma"
-                or stack[-3][0] != "val"
-                or stack[-4][0] != "open"
-            ):
-                raise TreeParseError("unexpected ')'", i)
-            i += 1
-            if i >= n_text or text[i] != ":":
-                raise TreeParseError("expected ':weight' after ')'", i)
-            i += 1
-            m = _NUM_RE.match(text, i)
-            if not m:
-                raise TreeParseError("expected a weight", i)
-            weight = float(m.group())
-            i = m.end()
-            _, right = stack.pop()
-            stack.pop()
-            _, left = stack.pop()
-            stack.pop()
-            push_value((left, right, weight), i)
-        else:
-            m = _INT_RE.match(text, i)
-            if not m:
-                raise TreeParseError(f"unexpected character {ch!r}", i)
-            value = int(m.group())
-            if value in seen:
-                raise TreeParseError(f"duplicate leaf index {value}", i)
-            seen.add(value)
-            push_value(value, i)
-            i = m.end()
-
-    if len(stack) != 1 or stack[0][0] != "val":
-        pos = stack[-1][1] if stack and stack[-1][0] != "val" else n_text
-        raise TreeParseError("unbalanced spec text", int(pos))  # type: ignore[arg-type]
-
-    annotated = stack[0][1]
-    nodes: List[Union[None, int, Tuple[int, int]]] = [None]
-    weights: Dict[int, float] = {}
-    todo: List[Tuple[object, int]] = [(annotated, 0)]
-    while todo:
-        spec, slot = todo.pop()
-        if isinstance(spec, int):
-            nodes[slot] = spec
-            continue
-        left, right, weight = spec  # type: ignore[misc]
-        la = len(nodes)
-        nodes.append(None)
-        rb = len(nodes)
-        nodes.append(None)
-        nodes[slot] = (la, rb)
-        weights[slot] = weight
-        todo.append((right, rb))
-        todo.append((left, la))
-    return UltrametricSpec(HierTree(nodes, 0), weights)
+        return cls(*_parse_text(text, weighted=True))
 
 
 # ----------------------------------------------------------------------
@@ -298,15 +186,10 @@ def build_generating_tree(dist: DistanceMatrix) -> HierTree:
     ok, triple = check_ultrametric(dist, tol)
     if not ok:
         raise ValueError(f"input is not an ultrametric: triple {triple} violates the inequality")
-    if n == 1:
-        return HierTree([0], 0)
-    nodes: List[Union[None, int, Tuple[int, int]]] = [None]
-    stack: List[Tuple[np.ndarray, int]] = [(np.arange(n, dtype=np.intp), 0)]
-    while stack:
-        ids, slot = stack.pop()
+
+    def expand(ids: np.ndarray, nid: int):
         if len(ids) == 1:
-            nodes[slot] = int(ids[0])
-            continue
+            return int(ids[0])
         sub = v[np.ix_(ids, ids)]
         flat = int(sub.argmax())
         pi, pj = divmod(flat, len(ids))
@@ -316,16 +199,9 @@ def build_generating_tree(dist: DistanceMatrix) -> HierTree:
         row = sub[pi]
         to_right = np.abs(row - dmax) <= tol
         to_right[pi] = False
-        left = ids[~to_right]
-        right = ids[to_right]
-        la = len(nodes)
-        nodes.append(None)
-        rb = len(nodes)
-        nodes.append(None)
-        nodes[slot] = (la, rb)
-        stack.append((right, rb))
-        stack.append((left, la))
-    return HierTree(nodes, 0)
+        return ids[~to_right], ids[to_right]
+
+    return HierTree(_divide(np.arange(n, dtype=np.intp), expand), 0)
 
 
 def verify_generating_tree(

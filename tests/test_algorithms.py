@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hierclust import (
     single_linkage,
     two_means,
 )
+from hierclust.algorithms import _subset_diameter
 from hierclust.metricspace import _one_means_cost
 from hierclust.objectives import _split_revenue_sum
 
@@ -105,6 +107,36 @@ def test_two_means_guards():
         TwoMeansSolverConfig(kind="bogus")
     with pytest.raises(IndexError):
         two_means(ps, {0, 7}, exhaustive_cfg())
+    bad_fields = [
+        {"lloyd_restarts": 0},
+        {"lloyd_restarts": -1},
+        {"lloyd_max_iters": 0},
+        {"lloyd_tol": -1e-9},
+        {"lloyd_tol": float("inf")},
+        {"lloyd_tol": float("nan")},
+        {"max_exhaustive_n": 0},
+        {"max_exhaustive_n": 65},
+    ]
+    for fields in bad_fields:
+        with pytest.raises(ValueError, match=next(iter(fields))):
+            TwoMeansSolverConfig(kind="lloyd", **fields)
+    TwoMeansSolverConfig(kind="exhaustive", max_exhaustive_n=64, lloyd_tol=0.0)
+
+
+def test_subset_diameter_bounds_its_row_block():
+    g = np.random.Generator(np.random.PCG64(53))
+    small = g.standard_normal((50, 3))
+    whole = np.sqrt(((small[:, None, :] - small[None, :, :]) ** 2).sum(axis=2).max())
+    assert _subset_diameter(small) == whole
+    # Two (block, m, dim) temporaries at once: about 64 MB whatever the size.
+    pts = g.standard_normal((600, 64))
+    tracemalloc.start()
+    try:
+        _subset_diameter(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
 
 
 def test_lloyd_never_beats_exhaustive():

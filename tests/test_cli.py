@@ -164,6 +164,24 @@ def test_experiment_table1(capsys, tmp_path):
     assert "upper_bound,revenue,190.0,0.0" in text
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cluster", "--algo", "bkm", "--restarts", "0"],
+        ["experiment", "table1", "--synth-k", "2", "--synth-n", "20", "--synth-dim", "2",
+         "--subsample", "10", "--restarts", "-1"],
+    ],
+)
+def test_invalid_restarts_is_data_error(capsys, line_csv, argv):
+    if argv[0] == "cluster":
+        argv = argv + ["--points", line_csv]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "lloyd_restarts" in err
+    assert err.count("\n") == 1
+
+
 def test_experiment_table1_needs_input(capsys):
     code, _, err = run(capsys, ["experiment", "table1", "--subsample", "10"])
     assert code == 1

@@ -274,6 +274,10 @@ def test_experiment_config_validation():
         mixture_config(objectives=("bogus",))
     with pytest.raises(ValueError):
         ExperimentConfig(subsample_size=10)  # neither csv nor synthetic
+    with pytest.raises(ValueError, match="lloyd_restarts"):
+        mixture_config(lloyd_restarts=0)
+    with pytest.raises(ValueError, match="max_exhaustive_n"):
+        mixture_config(max_exhaustive_n=65)
     with pytest.raises(ValueError):
         StatsRow("a", "revenue", 1.0, -0.5)
 

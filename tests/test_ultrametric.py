@@ -60,10 +60,15 @@ def lca_matrix_oracle(spec):
 
 
 def test_induced_matrices_are_ultrametric():
-    for k in range(10):
-        spec = generate_random(int(2 + k), RngStream(k))
-        ok, witness = check_ultrametric(spec.induced_matrix(), tol=0.0)
-        assert ok and witness is None
+    # UltrametricSpec does not re-check its induced matrix: positive weights
+    # that never decrease toward the root must be enough, in both modes and
+    # after a text round trip.
+    for mode in ("strict", "with_ties"):
+        for k in range(10):
+            spec = generate_random(int(2 + k), RngStream(k), mode)
+            for s in (spec, UltrametricSpec.parse(spec.serialize())):
+                ok, witness = check_ultrametric(s.induced_matrix(), tol=0.0)
+                assert ok and witness is None
 
 
 def test_equilateral_is_ultrametric():
