@@ -1,10 +1,13 @@
-"""Pinned outputs of the tree builders and the tree-text codec.
+"""Pinned outputs of the tree builders, the tree-text codec and the reports.
 
-The digests and messages below were recorded from the library before its
-node-building loops and parsers were folded into one builder and one codec
-in `hiertree`. They pin node ids, not only the canonical text: `node_weights`
-keys and the axis order of `embed_euclidean` are read off those ids. Each
-digest is SHA-256 over `repr` of a Python value or over an array's bytes.
+The tree digests and parser messages were recorded from the library before
+its node-building loops and parsers were folded into one builder and one
+codec in `hiertree`. They pin node ids, not only the canonical text:
+`node_weights` keys and the axis order of `embed_euclidean` are read off
+those ids. The report digests were recorded before the distance and
+split-revenue kernels were folded into one of each; their inputs span several
+row blocks of those kernels. Each digest is SHA-256 over `repr` of a Python
+value, over an array's bytes, or over a file's bytes.
 """
 
 import hashlib
@@ -21,10 +24,14 @@ from hierclust import (
     UltrametricSpec,
     bisecting_kmeans,
     build_generating_tree,
+    cli_main,
     embed_euclidean,
     generate_random,
+    high_revenue_stats,
+    pairwise_distances,
     parse,
     random_tree,
+    tree_revenue,
 )
 
 SIZES = (1, 2, 3, 17, 64)
@@ -32,7 +39,10 @@ MODES = ("strict", "with_ties")
 
 
 def _digest(value) -> str:
-    data = value.tobytes() if isinstance(value, np.ndarray) else repr(value).encode()
+    if isinstance(value, bytes):
+        data = value
+    else:
+        data = value.tobytes() if isinstance(value, np.ndarray) else repr(value).encode()
     return hashlib.sha256(data).hexdigest()
 
 
@@ -254,3 +264,120 @@ def _outcome(fn, text):
 def test_parser_outcomes(text, tree_outcome, spec_outcome):
     assert _outcome(parse, text) == tree_outcome
     assert _outcome(UltrametricSpec.parse, text) == spec_outcome
+
+
+# ----------------------------------------------------------------------
+# reports: CLI output files and the distance, revenue and high-revenue kernels
+
+
+def _cli(tmp, *argv) -> bytes:
+    out = tmp / "out.txt"
+    assert cli_main([*argv, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def _csv(tmp, n: int) -> str:
+    path = tmp / f"points_{n}.csv"
+    if not path.exists():
+        _cli(tmp, "synth", "--k", "3", "--n", str(n), "--dim", "4", "--separation", "6", "--seed", "7")
+        (tmp / "out.txt").rename(path)
+    return str(path)
+
+
+def _cluster(tmp, n: int, algo: str, *extra) -> bytes:
+    return _cli(tmp, "cluster", "--points", _csv(tmp, n), "--algo", algo, "--seed", "9", *extra)
+
+
+def _eval(tmp, objective: str) -> bytes:
+    tree = tmp / "tree.txt"
+    tree.write_bytes(_cluster(tmp, 40, "bkm"))
+    return _cli(tmp, "eval", "--points", _csv(tmp, 40), "--objective", objective, "--tree-file", str(tree))
+
+
+def _wide(noise: float = 1.0, n: int = 700, dim: int = 64) -> PointSet:
+    """Two clusters, 60% and 40% of the points, interleaved by index."""
+    g = np.random.default_rng(dim)
+    return PointSet(noise * g.standard_normal((n, dim)) + 4.0 * (np.arange(n) % 5 >= 3)[:, None])
+
+
+def _per_split(points: PointSet, tree: HierTree):
+    report = tree_revenue(points, tree)
+    return [v for _, v in report.per_split], report.total
+
+
+def _high(points: PointSet, cut: int):
+    stats = high_revenue_stats(points, range(cut), range(cut, points.n))
+    return sorted(stats.high_revenue_points_in_larger), stats.fraction
+
+
+def _report_cases():
+    out = {
+        "cluster_bkm_lloyd": lambda t: _cluster(t, 40, "bkm"),
+        "cluster_bkm_exhaustive": lambda t: _cluster(t, 16, "bkm", "--solver", "exhaustive"),
+        "cluster_avg": lambda t: _cluster(t, 40, "avg"),
+        "cluster_single": lambda t: _cluster(t, 40, "single"),
+        "cluster_random": lambda t: _cluster(t, 40, "random"),
+        "table1": lambda t: _cli(
+            t, "experiment", "table1", "--synth-k", "3", "--synth-n", "60", "--synth-dim", "4",
+            "--synth-separation", "6", "--synth-seed", "7", "--subsample", "30", "--runs", "2",
+            "--seed", "3", "--algo", "bkm,avg,single,random", "--objective", "revenue,ckmm,dasgupta",
+        ),
+        "random_bad": lambda t: _cli(
+            t, "experiment", "random-bad", "--sizes", "3,5", "--trials", "20", "--seed", "4"
+        ),
+        "bkm_lloyd_wide": lambda t: _ids(
+            bisecting_kmeans(_wide(), TwoMeansSolverConfig(kind="lloyd", lloyd_restarts=2, seed=3))
+        ),
+        "revenue_random_tree_wide": lambda t: _per_split(_wide(), random_tree(700, RngStream(8))),
+        "revenue_small": lambda t: [
+            _per_split(_points(n, n, dim), random_tree(n, RngStream(n)))
+            for n, dim in ((2, 1), (3, 2), (17, 3), (64, 5))
+        ],
+        "high_revenue_wide_even": lambda t: _high(_wide(0.05), 350),
+        "high_revenue_wide_uneven": lambda t: _high(_wide(0.05), 200),
+        "pairwise_wide": lambda t: pairwise_distances(_wide()).values,
+        "pairwise_small": lambda t: pairwise_distances(_points(17, 3)).values,
+    }
+    for objective in ("revenue", "ckmm", "dasgupta"):
+        out[f"eval_{objective}"] = lambda t, o=objective: _eval(t, o)
+        out[f"enumerate_opt_{objective}"] = lambda t, o=objective: _cli(
+            t, "enumerate-opt", "--points", _csv(t, 6), "--objective", o
+        )
+    for mode in MODES:
+        out[f"revenue_ultrametric_{mode}_64"] = lambda t, m=mode: _per_split(
+            embed_euclidean(_spec(m, 64)), _spec(m, 64).topology
+        )
+    return out
+
+
+REPORT_CASES = _report_cases()
+
+REPORT_GOLDEN = {
+    "bkm_lloyd_wide": "4f74cf5c38372cbb0ae157bd59fa5e0c01cd588beaf8feda6cfe26f4de3f67c0",
+    "cluster_avg": "7ed012ac3f2a40ba1866f8647d03f29eb71f6053f15e91c0e78447e0b5b4631e",
+    "cluster_bkm_exhaustive": "ab40edef6cb8bdd1085cad27f37d65252368fd5b5d22a0f56d121351285df565",
+    "cluster_bkm_lloyd": "4603c24356708bf7208dc3046441110ffae19d7346bb673cbee5e15d8b27f2ce",
+    "cluster_random": "063715bfbb4b9d55b6749783d20c39018301c00c876cbd94a4a63eae59bdf9b1",
+    "cluster_single": "42c4c4202cffddad015634cf80c2482e3d606b3127c9f6ea1a1cea767357aa6c",
+    "enumerate_opt_ckmm": "ec9d02078e92fa4ad51c16395e4fa34ca9b4de2933ce9b7977dd4257c9fddd94",
+    "enumerate_opt_dasgupta": "87a2556442b3f4b7d4e05254f88f4ecf887d173438c9a5d9a0a5dd36f8bf6132",
+    "enumerate_opt_revenue": "c2b4b18cafa1127e15fb7a5a1f1398505f166b623b75efba8f12d4e667a6f15c",
+    "eval_ckmm": "fb3405b4f4a618bb89ebfb1b87cbacd69a918663f014d287ec40ac4237a3d56a",
+    "eval_dasgupta": "fb3405b4f4a618bb89ebfb1b87cbacd69a918663f014d287ec40ac4237a3d56a",
+    "eval_revenue": "77faefc7c0ea55e101c9931daf2d9bd0e3864372e5cbdb6a8a8439781263c82b",
+    "high_revenue_wide_even": "c01bb25110caa9234363cbd3d88b1a40c4130825ec2cb0ee421117e2a47e4a1e",
+    "high_revenue_wide_uneven": "454437eadda33c36879bbf5bb7e132856376b3cce9cf6a36542be7466b6acb15",
+    "pairwise_small": "2e896e5f056b98110ac0a74cf7e2838f1b344f0b9e785f81892862a0274e8dde",
+    "pairwise_wide": "c8df333c77d021f47124ed633487e478f6effebeffce9d4e80475b9ed34cc2bd",
+    "random_bad": "fe370ee9f9d5dc2553b64e3e01eb5a3b69744398aa650e623be9af0fee9eeaa3",
+    "revenue_random_tree_wide": "8bbe4ced69c938794ca62d76e2fabe03828ccd9bf0c81e99dd9c81443973c385",
+    "revenue_small": "b676eba8a0371432b6ce287fb992e6bd64e6c6d5efc714dbf990e48c3be9dc48",
+    "revenue_ultrametric_strict_64": "61a10e896c8ed17c0b92ee47f4f8e7c894dcc9bf5c900a30a312e11f99d1f80e",
+    "revenue_ultrametric_with_ties_64": "be5c49de3436a0251279ba29454821fb31f80b47027b84ebea35e115ec067bd5",
+    "table1": "96d0a1d4b788c048d758c5d76a1ac8489ed0eeba9a8b87beca8af8b3b5498017",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_CASES))
+def test_report_digest(name, tmp_path):
+    assert _digest(REPORT_CASES[name](tmp_path)) == REPORT_GOLDEN[name]
