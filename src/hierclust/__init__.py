@@ -45,10 +45,7 @@ from .hiertree import (
     Split,
     TreeParseError,
     enumerate_trees,
-    lca_leaf_count,
     parse,
-    serialize,
-    splits,
 )
 from .metricspace import (
     ABS_TOL,

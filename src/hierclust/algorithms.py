@@ -25,7 +25,7 @@ from typing import List, Tuple, Union
 import numpy as np
 
 from .hiertree import HierTree, Split, _divide
-from .metricspace import DistanceMatrix, PointSet, _one_means_cost
+from .metricspace import DistanceMatrix, PointSet, _distance_blocks, _one_means_cost
 
 
 @dataclass(frozen=True)
@@ -145,16 +145,6 @@ def _exhaustive_two_means(coords: np.ndarray, ids: np.ndarray) -> Tuple[Split, f
     return split, float(cost)
 
 
-def _subset_diameter(pts: np.ndarray) -> float:
-    m = len(pts)
-    dmax = 0.0
-    step = max(1, int(4e6 // max(1, m * pts.shape[1])))
-    for s in range(0, m, step):
-        diff = pts[s : s + step, None, :] - pts[None, :, :]
-        dmax = max(dmax, float((diff * diff).sum(axis=2).max()))
-    return float(np.sqrt(dmax))
-
-
 def _lloyd_once(
     pts: np.ndarray, g: np.random.Generator, max_iters: int, move_tol: float
 ) -> np.ndarray:
@@ -187,7 +177,9 @@ def _lloyd_two_means(
     coords: np.ndarray, ids: np.ndarray, config: TwoMeansSolverConfig, rng: RngStream
 ) -> Tuple[Split, float]:
     pts = coords[ids]
-    move_tol = config.lloyd_tol * _subset_diameter(pts)
+    # The diameter as the maximum over row blocks is exact: sqrt is monotone.
+    diameter = max(float(block.max()) for _, block in _distance_blocks(pts, pts))
+    move_tol = config.lloyd_tol * diameter
     best_cost = np.inf
     best_assign = None
     for r in range(config.lloyd_restarts):

@@ -37,6 +37,7 @@ from .algorithms import (
 from .hiertree import HierTree, TreeParseError, parse
 from .metricspace import DistanceMatrix, PointSet, pairwise_distances
 from .objectives import (
+    ObjectiveReport,
     brute_force_opt,
     ckmm_value,
     dasgupta_cost,
@@ -333,13 +334,14 @@ def _build_tree(
     raise ValueError(f"unknown algorithm {name!r}")
 
 
-def _objective_value(objective: str, points: PointSet, dist: Optional[DistanceMatrix], tree: HierTree) -> float:
+def _objective_report(objective: str, points: PointSet, dist: Optional[DistanceMatrix], tree: HierTree) -> ObjectiveReport:
+    """One objective's report; `dist` must be the points' distances for ckmm and dasgupta."""
     if objective == "revenue":
-        return tree_revenue(points, tree).total
+        return tree_revenue(points, tree)
     assert dist is not None
     if objective == "ckmm":
-        return ckmm_value(dist, tree).total
-    return dasgupta_cost(dist, tree).total
+        return ckmm_value(dist, tree)
+    return dasgupta_cost(dist, tree)
 
 
 def run_table1(config: ExperimentConfig) -> Tuple[List[StatsRow], str]:
@@ -368,7 +370,7 @@ def run_table1(config: ExperimentConfig) -> Tuple[List[StatsRow], str]:
             tree = _build_tree(name, sub, dist, config._solver_config(rng.seed_int()), rng)
             for objective in config.objectives:
                 raw.setdefault((name, objective), []).append(
-                    _objective_value(objective, sub, dist, tree)
+                    _objective_report(objective, sub, dist, tree).total
                 )
         if "revenue" in config.objectives:
             raw.setdefault(("upper_bound", "revenue"), []).append(revenue_upper_bound(m))
@@ -604,12 +606,8 @@ def _read_tree(path: str) -> HierTree:
 def _cmd_eval(args: argparse.Namespace) -> int:
     points = _load_points(args)
     tree = _read_tree(args.tree_file)
-    if args.objective == "revenue":
-        report = tree_revenue(points, tree)
-    else:
-        dist = pairwise_distances(points)
-        report = ckmm_value(dist, tree) if args.objective == "ckmm" else dasgupta_cost(dist, tree)
-    _write_or_print(report.to_csv(), args.out)
+    dist = None if args.objective == "revenue" else pairwise_distances(points)
+    _write_or_print(_objective_report(args.objective, points, dist, tree).to_csv(), args.out)
     return 0
 
 

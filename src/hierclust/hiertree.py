@@ -15,7 +15,7 @@ subtree expanded before the right one.
 Text format::
 
     tree   := leaf | "(" tree "," tree ")" [":" weight]
-    leaf   := decimal point index
+    leaf   := point index in ASCII decimal digits
     weight := unsigned decimal number, optionally with an exponent
 
 Whitespace between tokens is ignored, but ``)``, ``:`` and the weight are
@@ -295,22 +295,6 @@ class HierTree:
 
 
 # ----------------------------------------------------------------------
-# module-level operations (thin wrappers over the methods)
-
-
-def splits(tree: HierTree) -> List[Split]:
-    return tree.splits()
-
-
-def lca_leaf_count(tree: HierTree, i: int, j: int) -> int:
-    return tree.lca_leaf_count(i, j)
-
-
-def serialize(tree: HierTree) -> str:
-    return tree.serialize()
-
-
-# ----------------------------------------------------------------------
 # the one top-down builder and the one tree-text codec
 
 
@@ -367,7 +351,7 @@ def _to_text(tree: HierTree, suffix: Callable[[int], str]) -> str:
     return "".join(out)
 
 
-_INT_RE = re.compile(r"\d+")
+_INT_RE = re.compile(r"[0-9]+")
 _NUM_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 
 
@@ -375,8 +359,6 @@ def _parse_text(text: str, weighted: bool) -> Tuple[HierTree, Dict[int, Optional
     """Parse tree text into a tree and its internal-node weights (None unless `weighted`).
 
     `weighted` requires ':weight' after every ')'; otherwise a ':' is rejected.
-    The modes keep their own messages for empty or unbalanced text, and only
-    the unweighted one reports missing leaf indices before tree validation.
     """
     # Stack items: ("open", pos) | ("comma", pos) | ("val", nested)
     stack: List[Tuple[str, object]] = []
@@ -436,17 +418,15 @@ def _parse_text(text: str, weighted: bool) -> Tuple[HierTree, Dict[int, Optional
             push("val", value, i)
             i = m.end()
 
-    if not stack and not weighted:
+    if not stack:
         raise TreeParseError("empty input", 0)
     if len(stack) != 1 or stack[0][0] != "val":
-        pos = stack[-1][1] if stack and stack[-1][0] != "val" else n_text
-        kind = "spec" if weighted else "tree"
-        raise TreeParseError(f"unbalanced {kind} text", int(pos))  # type: ignore[arg-type]
-    if not weighted:
-        n = len(seen)
-        missing = sorted(set(range(n)) - seen)
-        if missing:
-            raise ValueError(f"leaf indices must cover 0..{n - 1}; missing {missing}")
+        pos = stack[-1][1] if stack[-1][0] != "val" else n_text
+        raise TreeParseError("unbalanced tree text", int(pos))  # type: ignore[arg-type]
+    n = len(seen)
+    missing = sorted(set(range(n)) - seen)
+    if missing:
+        raise ValueError(f"leaf indices must cover 0..{n - 1}; missing {missing}")
 
     weights: Dict[int, Optional[float]] = {}
 

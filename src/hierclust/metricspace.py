@@ -9,7 +9,7 @@ and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -173,16 +173,25 @@ def kmeans_cost(points: PointSet, parts: Sequence[Iterable[int]]) -> float:
     return float(sum(_one_means_cost(points.coords, ids) for ids in arrays))
 
 
+def _distance_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+    """Yield (first_row, block): Euclidean distances from a row block of `a` to every row of `b`.
+
+    Row blocks cap the (rows, len(b), dim) difference temporary at about 4e6
+    entries (32 MB) whatever the sizes; one block for all of `a` takes
+    gigabytes on a few thousand points or a wide ultrametric embedding. The
+    difference is one expression, so no name holds it across the yield.
+    """
+    step = max(1, int(4e6 // max(1, len(b) * a.shape[1])))
+    for s in range(0, len(a), step):
+        yield s, np.sqrt(((a[s : s + step, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+
+
 def pairwise_distances(points: PointSet) -> DistanceMatrix:
     """Full symmetric matrix of Euclidean distances."""
-    coords = points.coords
     n = points.n
     out = np.empty((n, n), dtype=np.float64)
-    # Row blocks bound the (block, n, dim) broadcast temporary.
-    step = max(1, int(4e6 // max(1, n * points.dim)))
-    for s in range(0, n, step):
-        diff = coords[s : s + step, None, :] - coords[None, :, :]
-        out[s : s + step] = np.sqrt((diff * diff).sum(axis=2))
+    for s, block in _distance_blocks(points.coords, points.coords):
+        out[s : s + len(block)] = block
     return DistanceMatrix(out)
 
 

@@ -25,12 +25,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Tuple, Union
+from typing import Iterable, Iterator, List, NamedTuple, Tuple, Union
 
 import numpy as np
 
 from .hiertree import HierTree, Split, enumerate_trees
-from .metricspace import ABS_TOL, REL_TOL, DistanceMatrix, PointSet, close
+from .metricspace import ABS_TOL, REL_TOL, DistanceMatrix, PointSet, _distance_blocks, close
 
 OBJECTIVE_KINDS = ("revenue", "ckmm", "dasgupta")
 
@@ -142,40 +142,38 @@ def pair_revenue(
     return min(d / delta, 1.0)
 
 
-def _split_revenue_matrix(
+def _split_revenue_blocks(
     coords: np.ndarray, left: np.ndarray, right: np.ndarray
-) -> np.ndarray:
-    """Revenue of every (left x right) pair for one split, vectorized."""
+) -> Iterator[np.ndarray]:
+    """Revenue of every (left x right) pair of one split, one row block of `left` at a time."""
     pl = coords[left]
     pr = coords[right]
-    rho_l = pl.mean(axis=0)
-    rho_r = pr.mean(axis=0)
-    dl = np.sqrt(((pl - rho_l) ** 2).sum(axis=1))
-    dr = np.sqrt(((pr - rho_r) ** 2).sum(axis=1))
-    cross = np.sqrt(((pl[:, None, :] - pr[None, :, :]) ** 2).sum(axis=2))
-    delta = np.maximum(dl[:, None], dr[None, :])
-    safe = np.where(delta == 0.0, 1.0, delta)
-    return np.where(delta == 0.0, 1.0, np.minimum(cross / safe, 1.0))
-
-
-def _split_revenue_sum(coords: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
-    pl = coords[left]
-    pr = coords[right]
-    rho_l = pl.mean(axis=0)
-    rho_r = pr.mean(axis=0)
-    dl = np.sqrt(((pl - rho_l) ** 2).sum(axis=1))
-    dr = np.sqrt(((pr - rho_r) ** 2).sum(axis=1))
-    total = 0.0
-    # Row blocks bound the (block, |right|, dim) broadcast temporary.
-    step = max(1, int(4e6 // max(1, len(right) * coords.shape[1])))
-    for s in range(0, len(left), step):
-        block = pl[s : s + step]
-        cross = np.sqrt(((block[:, None, :] - pr[None, :, :]) ** 2).sum(axis=2))
-        delta = np.maximum(dl[s : s + step, None], dr[None, :])
+    dl = np.sqrt(((pl - pl.mean(axis=0)) ** 2).sum(axis=1))
+    dr = np.sqrt(((pr - pr.mean(axis=0)) ** 2).sum(axis=1))
+    for s, cross in _distance_blocks(pl, pr):
+        delta = np.maximum(dl[s : s + len(cross), None], dr[None, :])
         safe = np.where(delta == 0.0, 1.0, delta)
-        rev = np.where(delta == 0.0, 1.0, np.minimum(cross / safe, 1.0))
-        total += float(rev.sum())
-    return total
+        yield np.where(delta == 0.0, 1.0, np.minimum(cross / safe, 1.0))
+
+
+def _revenue_values(coords: np.ndarray, tree: HierTree) -> List[float]:
+    out = []
+    for _, l, r in tree.split_arrays():
+        total = 0.0
+        for rev in _split_revenue_blocks(coords, l, r):
+            total += float(rev.sum())
+        out.append(total)
+    return out
+
+
+def _unit_scaled(coords: np.ndarray) -> np.ndarray:
+    """`coords` times the power of two that brings the largest magnitude into [0.5, 1).
+
+    Revenue is scale-invariant and the scale is exact, so normal inputs keep
+    every bit, while tiny or huge ones no longer square to 0 or inf.
+    """
+    _, exponent = math.frexp(max(float(coords.max()), -float(coords.min())))
+    return coords if exponent == 0 else np.ldexp(coords, -exponent)
 
 
 def _check_tree_points(points: PointSet, tree: HierTree) -> None:
@@ -195,19 +193,20 @@ def revenue_upper_bound(n: int) -> float:
 def tree_revenue(points: PointSet, tree: HierTree, mode: str = "split_sum") -> ObjectiveReport:
     """Total revenue of a tree, by splits or by pairs.
 
-    ``split_sum`` walks the splits and sums each split's pair revenues in one
-    vectorized pass. ``pair_sum`` walks all n(n-1)/2 pairs, finds the split
+    ``split_sum`` walks the splits and sums each split's pair revenues in
+    vectorized row blocks. ``pair_sum`` walks all n(n-1)/2 pairs, finds the split
     separating each pair, and sums `pair_revenue` calls. The two routes
     evaluate the same function and must agree to float accumulation error.
     """
     _check_tree_points(points, tree)
     if mode not in ("split_sum", "pair_sum"):
         raise ValueError(f"mode must be 'split_sum' or 'pair_sum', got {mode!r}")
-    coords = points.coords
-    arrays = tree.split_arrays()
+    coords = _unit_scaled(points.coords)
     if mode == "split_sum":
-        values = [_split_revenue_sum(coords, l, r) for _, l, r in arrays]
+        values = _revenue_values(coords, tree)
     else:
+        points = PointSet(coords)
+        arrays = tree.split_arrays()
         n = points.n
         split_id = np.full((n, n), -1, dtype=np.intp)
         for s, (_, l, r) in enumerate(arrays):
@@ -254,10 +253,10 @@ def high_revenue_stats(
         a, b = left, right
     else:
         a, b = right, left
-    arr_a = np.array(a, dtype=np.intp)
-    arr_b = np.array(b, dtype=np.intp)
-    rev = _split_revenue_matrix(points.coords, arr_a, arr_b)
-    counts = (rev >= HIGH_REVENUE_MIN).sum(axis=1)
+    blocks = _split_revenue_blocks(
+        _unit_scaled(points.coords), np.array(a, dtype=np.intp), np.array(b, dtype=np.intp)
+    )
+    counts = np.concatenate([(rev >= HIGH_REVENUE_MIN).sum(axis=1) for rev in blocks])
     high = frozenset(int(a[k]) for k in range(len(a)) if 2 * int(counts[k]) >= len(b))
     return HighRevenueStats(
         side_a=frozenset(a),
@@ -363,14 +362,6 @@ def triangle_decompose(
 # exhaustive optimum
 
 
-def _revenue_total(coords: np.ndarray, tree: HierTree) -> float:
-    return math.fsum(_split_revenue_sum(coords, l, r) for _, l, r in tree.split_arrays())
-
-
-def _lca_weighted_total(values: np.ndarray, tree: HierTree) -> float:
-    return math.fsum(_lca_weighted_values(values, tree))
-
-
 def brute_force_opt(
     instance: Union[PointSet, DistanceMatrix], objective_kind: str
 ) -> Tuple[HierTree, float]:
@@ -386,12 +377,13 @@ def brute_force_opt(
         if not isinstance(instance, PointSet):
             raise TypeError("revenue optimization needs a PointSet")
         n = instance.n
-        evaluate = lambda t: _revenue_total(instance.coords, t)
+        coords = _unit_scaled(instance.coords)
+        evaluate = lambda t: math.fsum(_revenue_values(coords, t))
     else:
         if not isinstance(instance, DistanceMatrix):
             raise TypeError(f"{objective_kind} optimization needs a DistanceMatrix")
         n = instance.n
-        evaluate = lambda t: _lca_weighted_total(instance.values, t)
+        evaluate = lambda t: math.fsum(_lca_weighted_values(instance.values, t))
     if n > 7:
         raise ValueError("brute_force_opt is capped at n = 7")
     if n == 1:

@@ -16,11 +16,10 @@ from hierclust import (
     pairwise_distances,
     random_tree,
     single_linkage,
+    tree_revenue,
     two_means,
 )
-from hierclust.algorithms import _subset_diameter
-from hierclust.metricspace import _one_means_cost
-from hierclust.objectives import _split_revenue_sum
+from hierclust.metricspace import _distance_blocks, _one_means_cost
 
 
 def line_points():
@@ -127,16 +126,29 @@ def test_subset_diameter_bounds_its_row_block():
     g = np.random.Generator(np.random.PCG64(53))
     small = g.standard_normal((50, 3))
     whole = np.sqrt(((small[:, None, :] - small[None, :, :]) ** 2).sum(axis=2).max())
-    assert _subset_diameter(small) == whole
-    # Two (block, m, dim) temporaries at once: about 64 MB whatever the size.
+
+    def diameter(pts):
+        return max(float(block.max()) for _, block in _distance_blocks(pts, pts))
+
+    assert diameter(small) == whole
+    # The (block, m, dim) difference is about 32 MB whatever the size.
     pts = g.standard_normal((600, 64))
     tracemalloc.start()
     try:
-        _subset_diameter(pts)
+        diameter(pts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 128 * 2**20
+    # A whole (800, 800, 32) difference would be 164 MB.
+    ps = PointSet(g.standard_normal((1600, 32)))
+    tracemalloc.start()
+    try:
+        high_revenue_stats(ps, range(800), range(800, 1600))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_lloyd_never_beats_exhaustive():
@@ -204,14 +216,12 @@ def test_bisecting_per_split_revenue_bound_smoke():
         n = int(g.integers(2, 13))
         ps = PointSet(g.standard_normal((n, int(g.integers(1, 5)))))
         tree = bisecting_kmeans(ps, exhaustive_cfg(seed=k))
-        total = 0.0
-        for _, l, r in tree.split_arrays():
-            rev = _split_revenue_sum(ps.coords, l, r)
-            total += rev
-            assert rev >= len(l) * len(r) / 35.0 - 1e-9
-            stats = high_revenue_stats(ps, l.tolist(), r.tolist())
+        report = tree_revenue(ps, tree)
+        for split, rev in report.per_split:
+            assert rev >= len(split.left_set) * len(split.right_set) / 35.0 - 1e-9
+            stats = high_revenue_stats(ps, split.left_set, split.right_set)
             assert 7 * len(stats.high_revenue_points_in_larger) >= 4 * len(stats.side_a)
-        assert total >= n * (n - 1) / 2.0 / 35.0 - 1e-9
+        assert report.total >= n * (n - 1) / 2.0 / 35.0 - 1e-9
 
 
 # ----------------------------------------------------------------------

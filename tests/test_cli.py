@@ -3,8 +3,13 @@
 Exit codes: 0 success, 1 usage errors, 2 data errors.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import hierclust
 from hierclust import cli_main
 
 
@@ -120,6 +125,18 @@ def test_gen_ultrametric_embed_cluster_roundtrip(capsys, tmp_path):
         ["cluster", "--points", str(points_file), "--algo", "bkm", "--solver", "exhaustive"],
     )
     assert code == 0
+
+
+def test_python_m_hierclust_runs_the_cli(line_csv):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hierclust.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "hierclust",
+         "cluster", "--points", line_csv, "--algo", "bkm"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "((0,1),2)\n"
+    assert proc.stderr == ""
 
 
 def test_synth_writes_points(capsys, tmp_path):

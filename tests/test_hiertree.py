@@ -6,11 +6,8 @@ from hierclust import (
     Split,
     TreeParseError,
     enumerate_trees,
-    lca_leaf_count,
     parse,
     random_tree,
-    serialize,
-    splits,
 )
 
 
@@ -38,41 +35,41 @@ def nested_bipartitions(nested):
 
 def test_splits_two_leaves():
     t = HierTree.from_nested((0, 1))
-    [s] = splits(t)
+    [s] = t.splits()
     assert (sorted(s.left_set), sorted(s.right_set)) == ([0], [1])
     assert sorted(s.parent_set) == [0, 1]
 
 
 def test_splits_caterpillar_example():
     t = HierTree.from_nested(((0, 1), 2))
-    got = [(sorted(s.left_set), sorted(s.right_set)) for s in splits(t)]
+    got = [(sorted(s.left_set), sorted(s.right_set)) for s in t.splits()]
     assert got == [([0, 1], [2]), ([0], [1])]
 
 
 def test_single_leaf_has_no_splits():
     t = HierTree([0], 0)
-    assert splits(t) == []
+    assert t.splits() == []
 
 
 def test_splits_cover_each_pair_once_enumerated():
     for n in range(2, 7):
         for tree in enumerate_trees(n):
             seen = {}
-            for s in splits(tree):
+            for s in tree.splits():
                 for i in s.left_set:
                     for j in s.right_set:
                         key = (min(i, j), max(i, j))
                         seen[key] = seen.get(key, 0) + 1
             assert all(v == 1 for v in seen.values())
             assert len(seen) == n * (n - 1) // 2
-            assert sum(len(s.left_set) * len(s.right_set) for s in splits(tree)) == n * (n - 1) // 2
+            assert sum(len(s.left_set) * len(s.right_set) for s in tree.splits()) == n * (n - 1) // 2
 
 
 def test_splits_match_nested_oracle_random_n50():
     for k in range(100):
         tree = random_tree(50, RngStream(k))
         expected, _ = nested_bipartitions(tree.to_nested())
-        got = [(set(s.left_set), set(s.right_set)) for s in splits(tree)]
+        got = [(set(s.left_set), set(s.right_set)) for s in tree.splits()]
         normalize = lambda pairs: sorted(
             (tuple(sorted(min(a, b, key=sorted))), tuple(sorted(max(a, b, key=sorted))))
             for a, b in pairs
@@ -86,35 +83,35 @@ def test_splits_match_nested_oracle_random_n50():
 
 def test_lca_two_leaves():
     t = HierTree.from_nested((0, 1))
-    assert lca_leaf_count(t, 0, 1) == 2
+    assert t.lca_leaf_count(0, 1) == 2
 
 
 def test_lca_caterpillar_example():
     t = HierTree.from_nested(((0, 1), 2))
-    assert lca_leaf_count(t, 0, 1) == 2
-    assert lca_leaf_count(t, 0, 2) == 3
-    assert lca_leaf_count(t, 1, 2) == 3
+    assert t.lca_leaf_count(0, 1) == 2
+    assert t.lca_leaf_count(0, 2) == 3
+    assert t.lca_leaf_count(1, 2) == 3
 
 
 def test_lca_equals_parent_set_of_separating_split():
     for k in range(20):
         tree = random_tree(12, RngStream(1000 + k))
         by_pair = {}
-        for s in splits(tree):
+        for s in tree.splits():
             for i in s.left_set:
                 for j in s.right_set:
                     by_pair[(min(i, j), max(i, j))] = len(s.parent_set)
         for (i, j), size in by_pair.items():
-            assert lca_leaf_count(tree, i, j) == size
+            assert tree.lca_leaf_count(i, j) == size
             assert 2 <= size <= 12
 
 
 def test_lca_rejects_equal_leaves():
     t = HierTree.from_nested((0, 1))
     with pytest.raises(ValueError):
-        lca_leaf_count(t, 0, 0)
+        t.lca_leaf_count(0, 0)
     with pytest.raises(IndexError):
-        lca_leaf_count(t, 0, 5)
+        t.lca_leaf_count(0, 5)
 
 
 # ----------------------------------------------------------------------
@@ -145,7 +142,7 @@ def test_enumerate_guards():
 
 
 def test_serialize_single_leaf():
-    assert serialize(HierTree([0], 0)) == "0"
+    assert HierTree([0], 0).serialize() == "0"
     assert parse("0").serialize() == "0"
 
 
@@ -156,7 +153,7 @@ def test_roundtrip_examples():
 
 def test_balanced_four_leaf_splits():
     t = parse("((0,1),(2,3))")
-    got = [(sorted(s.left_set), sorted(s.right_set)) for s in splits(t)]
+    got = [(sorted(s.left_set), sorted(s.right_set)) for s in t.splits()]
     assert got == [([0, 1], [2, 3]), ([0], [1]), ([2], [3])]
 
 

@@ -137,7 +137,7 @@ def test_tree_revenue_scale_invariant():
     coords = g.standard_normal((12, 3))
     tree = random_tree(12, RngStream(5))
     base = tree_revenue(PointSet(coords), tree).total
-    for lam in (1e-3, 0.5, 7.0, 1e4):
+    for lam in (1e-3, 0.5, 7.0, 1e4, 1e-200, 1e200):
         scaled = tree_revenue(PointSet(coords * lam), tree).total
         assert close(base, scaled)
 
