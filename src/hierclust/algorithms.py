@@ -7,7 +7,9 @@ Four builders, all emitting the same dendrogram type:
   iterations seeded with k-means++.
 * average_linkage / single_linkage -- agglomerative over a distance matrix,
   merging the pair of clusters with minimum mean / minimum single
-  inter-cluster distance.
+  inter-cluster distance. Each row caches its nearest live partner and a
+  merge rescans only the rows it touches (Muellner's "generic" algorithm),
+  so typical cost is O(n^2) time and one n x n working copy of the matrix.
 * random_tree -- divisive baseline assigning each point to a side by an
   independent fair coin at every node.
 
@@ -288,33 +290,41 @@ def _agglomerate(dist: DistanceMatrix, mode: str) -> HierTree:
     if n == 1:
         return HierTree([0], 0)
     # state[a, b]: total (average mode) or minimum (single mode) cross
-    # distance between the live clusters in slots a and b.
+    # distance between the live clusters in slots a and b. A merge keeps the
+    # lower slot, so every slot's smallest leaf is the slot itself and the
+    # tie key (smaller min-leaf, larger min-leaf) is the slot pair (a, b).
     state = dist.values.copy()
     size = np.ones(n, dtype=np.float64)
-    min_leaf = np.arange(n)
     alive = np.ones(n, dtype=bool)
+    # best[r]: the minimum score over live slots c > r; arg[r]: the first
+    # such c, or -1 when there is none. Row-major order over a < b is then
+    # the tie order, so the pick is the first row holding the minimum.
+    best = np.full(n, np.inf)
+    arg = np.full(n, -1, dtype=np.intp)
     node_of = list(range(n))
     nodes: List[Union[int, Tuple[int, int]]] = list(range(n))
 
-    for _ in range(n - 1):
-        valid = np.outer(alive, alive)
-        np.fill_diagonal(valid, False)
+    def scores(r: int, cols: np.ndarray) -> np.ndarray:
         if mode == "average":
-            score = np.where(valid, state / np.outer(size, size), np.inf)
-        else:
-            score = np.where(valid, state, np.inf)
-        best = float(score.min())
-        ii, jj = np.nonzero(score == best)
-        pick = None
-        for a, b in zip(ii.tolist(), jj.tolist()):
-            if a >= b:
-                continue
-            la, lb = int(min_leaf[a]), int(min_leaf[b])
-            key = (min(la, lb), max(la, lb))
-            if pick is None or key < pick[0]:
-                pick = (key, a, b)
-        assert pick is not None
-        _, a, b = pick
+            return state[r, cols] / (size[r] * size[cols])
+        return state[r, cols]
+
+    def refresh(r: int) -> None:
+        cols = np.flatnonzero(alive[r + 1 :]) + (r + 1)
+        if cols.size == 0:
+            best[r], arg[r] = np.inf, -1
+            return
+        row = scores(r, cols)
+        k = int(row.argmin())
+        best[r], arg[r] = row[k], cols[k]
+
+    for r in range(n - 1):
+        refresh(r)
+    for _ in range(n - 1):
+        a = int(best.argmin())
+        if arg[a] < 0:  # every live score overflowed to inf
+            a = int(np.flatnonzero(arg >= 0)[0])
+        b = int(arg[a])
         nodes.append((node_of[a], node_of[b]))
         node_of[a] = len(nodes) - 1
         if mode == "average":
@@ -323,8 +333,19 @@ def _agglomerate(dist: DistanceMatrix, mode: str) -> HierTree:
             state[a, :] = np.minimum(state[a, :], state[b, :])
         state[:, a] = state[a, :]
         size[a] += size[b]
-        min_leaf[a] = min(min_leaf[a], min_leaf[b])
         alive[b] = False
+        best[b], arg[b] = np.inf, -1
+        # Rows whose cached partner was a or b rescan; the other live rows
+        # above a only need to compare their cached minimum with (c, a).
+        stale = alive & ((arg == a) | (arg == b))
+        stale[a] = True
+        above = np.flatnonzero(alive[:a] & ~stale[:a])
+        new = scores(a, above)
+        take = (new < best[above]) | ((new == best[above]) & (a < arg[above]))
+        best[above[take]] = new[take]
+        arg[above[take]] = a
+        for r in np.flatnonzero(stale).tolist():
+            refresh(r)
     return HierTree(nodes, len(nodes) - 1)
 
 
@@ -333,11 +354,17 @@ def average_linkage(dist: DistanceMatrix) -> HierTree:
 
     Ties go to the pair whose (smaller min-leaf, larger min-leaf) ids are
     lexicographically smallest, so the output is reproducible without
-    randomness.
+    randomness. Internal nodes are numbered n .. 2n-2 in merge order.
+    Typical cost is O(n^2) time (O(n^3) in the worst case, when most merges
+    invalidate most cached row minima) and one n x n working copy of `dist`.
     """
     return _agglomerate(dist, "average")
 
 
 def single_linkage(dist: DistanceMatrix) -> HierTree:
-    """As average_linkage, but merging by minimum single inter-cluster distance."""
+    """As average_linkage, but merging by minimum single inter-cluster distance.
+
+    Same tie rule, node numbering and cost: typical O(n^2) time and one
+    n x n working copy of `dist`.
+    """
     return _agglomerate(dist, "single")

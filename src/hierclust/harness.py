@@ -56,6 +56,22 @@ class DataError(ValueError):
     """Bad input data or an unrunnable configuration (CLI exit code 2)."""
 
 
+# The largest n x n float64 distance matrix an experiment or CLI command may
+# allocate; the linkage builders hold one working copy of the same size.
+_MAX_DISTANCE_BYTES = 1 << 30
+
+
+def _distances(points: PointSet) -> DistanceMatrix:
+    """The points' distance matrix, refused before allocation when too large."""
+    nbytes = points.n * points.n * 8
+    if nbytes > _MAX_DISTANCE_BYTES:
+        raise DataError(
+            f"a {points.n}x{points.n} distance matrix needs {nbytes} bytes,"
+            f" over the limit of {_MAX_DISTANCE_BYTES} bytes"
+        )
+    return pairwise_distances(points)
+
+
 # ----------------------------------------------------------------------
 # CSV ingestion
 
@@ -364,7 +380,7 @@ def run_table1(config: ExperimentConfig) -> Tuple[List[StatsRow], str]:
         g = RngStream(config.base_seed + r).generator()
         idx = np.sort(g.choice(data.n, size=m, replace=False))
         sub = PointSet(data.coords[idx])
-        dist = pairwise_distances(sub) if needs_dist else None
+        dist = _distances(sub) if needs_dist else None
         for name in config.algorithms:
             rng = RngStream(config.base_seed).substream(r, _ALGO_KEY[name])
             tree = _build_tree(name, sub, dist, config._solver_config(rng.seed_int()), rng)
@@ -588,7 +604,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 def _cmd_cluster(args: argparse.Namespace) -> int:
     points = _load_points(args)
     solver = TwoMeansSolverConfig(kind=args.solver, lloyd_restarts=args.restarts, seed=args.seed)
-    dist = pairwise_distances(points) if args.algo in ("avg", "single") else None
+    dist = _distances(points) if args.algo in ("avg", "single") else None
     tree = _build_tree(args.algo, points, dist, solver, RngStream(args.seed))
     _write_or_print(tree.serialize() + "\n", args.out)
     return 0
@@ -606,7 +622,7 @@ def _read_tree(path: str) -> HierTree:
 def _cmd_eval(args: argparse.Namespace) -> int:
     points = _load_points(args)
     tree = _read_tree(args.tree_file)
-    dist = None if args.objective == "revenue" else pairwise_distances(points)
+    dist = None if args.objective == "revenue" else _distances(points)
     _write_or_print(_objective_report(args.objective, points, dist, tree).to_csv(), args.out)
     return 0
 
@@ -615,10 +631,9 @@ def _cmd_enumerate_opt(args: argparse.Namespace) -> int:
     points = _load_points(args)
     if points.n > 7:
         raise DataError("enumerate-opt is capped at 7 points")
-    if args.objective == "revenue":
-        tree, value = brute_force_opt(points, "revenue")
-    else:
-        tree, value = brute_force_opt(pairwise_distances(points), args.objective)
+    tree, value = brute_force_opt(
+        points if args.objective == "revenue" else _distances(points), args.objective
+    )
     text = f"objective,{args.objective}\noptimal_value,{value!r}\ntree,{tree.serialize()}\n"
     _write_or_print(text, args.out)
     return 0

@@ -74,8 +74,12 @@ class ObjectiveReport:
                 raise ValueError("revenue total exceeds the n(n-1)/2 bound")
 
     def to_csv(self) -> str:
-        """One row per split (parent/left/right sizes, value) plus a totals row."""
-        lines = ["parent_size,left_size,right_size,value"]
+        """One row per split (parent/left/right sizes, value) plus a totals row.
+
+        The value column is named after `objective_kind`, so a report file
+        says which objective it holds.
+        """
+        lines = [f"parent_size,left_size,right_size,{self.objective_kind}"]
         for sp, v in self.per_split:
             l, r = len(sp.left_set), len(sp.right_set)
             lines.append(f"{l + r},{l},{r},{v!r}")

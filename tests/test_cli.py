@@ -7,10 +7,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import hierclust
-from hierclust import cli_main
+from hierclust import cli_main, harness
 
 
 @pytest.fixture
@@ -84,7 +85,7 @@ def test_eval_prints_per_split_csv(capsys, tmp_path, line_csv):
     )
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "parent_size,left_size,right_size,value"
+    assert lines[0] == "parent_size,left_size,right_size,revenue"
     assert lines[-1] == "total,,,3.0"
 
 
@@ -196,6 +197,40 @@ def test_invalid_restarts_is_data_error(capsys, line_csv, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "lloyd_restarts" in err
+    assert err.count("\n") == 1
+
+
+def test_distance_matrix_guard_names_bytes_and_limit(monkeypatch):
+    monkeypatch.setattr(harness, "_MAX_DISTANCE_BYTES", 71)
+    assert harness._distances(hierclust.PointSet(np.zeros((2, 1)))).n == 2  # 32 bytes
+    with pytest.raises(hierclust.DataError, match="3x3 distance matrix needs 72 bytes, over the limit of 71 bytes"):
+        harness._distances(hierclust.PointSet(np.zeros((3, 1))))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cluster", "--algo", "avg"],
+        ["cluster", "--algo", "single"],
+        ["eval", "--objective", "ckmm"],
+        ["eval", "--objective", "dasgupta"],
+        ["enumerate-opt", "--objective", "ckmm"],
+        ["experiment", "table1", "--synth-k", "2", "--synth-n", "20", "--synth-dim", "2",
+         "--subsample", "10", "--algo", "bkm,random"],
+    ],
+)
+def test_distance_matrix_guard_exits_2(capsys, monkeypatch, tmp_path, line_csv, argv):
+    monkeypatch.setattr(harness, "_MAX_DISTANCE_BYTES", 71)
+    if argv[0] != "experiment":
+        argv = argv + ["--points", line_csv]
+    if argv[0] == "eval":
+        tree_file = tmp_path / "t.txt"
+        tree_file.write_text("((0,1),2)\n")
+        argv = argv + ["--tree-file", str(tree_file)]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "over the limit of 71 bytes" in err
     assert err.count("\n") == 1
 
 

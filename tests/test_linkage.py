@@ -1,0 +1,133 @@
+"""Average and single linkage against the full-rescan loop they replace.
+
+`_reference_agglomerate` is the library's agglomerative loop before it kept
+per-row cached minima: every merge rebuilds the whole score matrix and picks
+the smallest (min-leaf, min-leaf) key among the minima. The library must
+return the same node tuples and root on every input below, most of them
+chosen for their ties.
+"""
+
+from typing import List, Tuple, Union
+
+import numpy as np
+import pytest
+
+from hierclust import (
+    DistanceMatrix,
+    HierTree,
+    PointSet,
+    RandomBadInstanceSpec,
+    average_linkage,
+    build_random_bad_instance,
+    pairwise_distances,
+    single_linkage,
+)
+
+
+def _reference_agglomerate(dist: DistanceMatrix, mode: str) -> HierTree:
+    n = dist.n
+    if n == 1:
+        return HierTree([0], 0)
+    # state[a, b]: total (average mode) or minimum (single mode) cross
+    # distance between the live clusters in slots a and b.
+    state = dist.values.copy()
+    size = np.ones(n, dtype=np.float64)
+    min_leaf = np.arange(n)
+    alive = np.ones(n, dtype=bool)
+    node_of = list(range(n))
+    nodes: List[Union[int, Tuple[int, int]]] = list(range(n))
+
+    for _ in range(n - 1):
+        valid = np.outer(alive, alive)
+        np.fill_diagonal(valid, False)
+        if mode == "average":
+            score = np.where(valid, state / np.outer(size, size), np.inf)
+        else:
+            score = np.where(valid, state, np.inf)
+        best = float(score.min())
+        ii, jj = np.nonzero(score == best)
+        pick = None
+        for a, b in zip(ii.tolist(), jj.tolist()):
+            if a >= b:
+                continue
+            la, lb = int(min_leaf[a]), int(min_leaf[b])
+            key = (min(la, lb), max(la, lb))
+            if pick is None or key < pick[0]:
+                pick = (key, a, b)
+        assert pick is not None
+        _, a, b = pick
+        nodes.append((node_of[a], node_of[b]))
+        node_of[a] = len(nodes) - 1
+        if mode == "average":
+            state[a, :] += state[b, :]
+        else:
+            state[a, :] = np.minimum(state[a, :], state[b, :])
+        state[:, a] = state[a, :]
+        size[a] += size[b]
+        min_leaf[a] = min(min_leaf[a], min_leaf[b])
+        alive[b] = False
+    return HierTree(nodes, len(nodes) - 1)
+
+
+BUILDERS = (("average", average_linkage), ("single", single_linkage))
+
+
+def _dist(coords) -> DistanceMatrix:
+    return pairwise_distances(PointSet(np.asarray(coords, dtype=np.float64)))
+
+
+def _equal_entries(n: int, levels: int, seed: int) -> DistanceMatrix:
+    """A symmetric matrix whose off-diagonal entries take `levels` values."""
+    g = np.random.default_rng(seed)
+    upper = np.triu(g.integers(1, levels + 1, size=(n, n)).astype(np.float64), 1)
+    return DistanceMatrix(upper + upper.T)
+
+
+def _inputs():
+    out = {}
+    for n, dim in ((1, 2), (2, 1), (3, 2), (5, 3), (17, 2), (64, 4), (150, 8), (300, 3)):
+        g = np.random.default_rng(1000 + n)
+        out[f"random_{n}"] = _dist(g.standard_normal((n, dim)))
+    g = np.random.default_rng(7)
+    spots = g.standard_normal((4, 3))
+    out["coincident_4x10"] = _dist(np.repeat(spots, 10, axis=0))
+    out["coincident_interleaved"] = _dist(spots[g.integers(0, 4, size=60)])
+    out["coincident_all"] = _dist(np.ones((25, 2)))
+    xs, ys = np.meshgrid(np.arange(7), np.arange(6))
+    out["grid_7x6"] = _dist(np.column_stack([xs.ravel(), ys.ravel()]))
+    out["grid_line_40"] = _dist(np.arange(40)[:, None])
+    out["grid_rounded_120"] = _dist(np.round(2 * np.random.default_rng(8).standard_normal((120, 2))))
+    for n in (2, 3, 30):
+        out[f"zeros_{n}"] = DistanceMatrix(np.zeros((n, n)))
+    for k in (2, 3, 4, 6):
+        out[f"random_bad_{k}"] = pairwise_distances(
+            build_random_bad_instance(RandomBadInstanceSpec(k))
+        )
+    out["equal_entries_2_levels"] = _equal_entries(50, 2, 3)
+    out["equal_entries_4_levels"] = _equal_entries(90, 4, 4)
+    return out
+
+
+INPUTS = _inputs()
+
+
+@pytest.mark.parametrize("mode,build", BUILDERS, ids=[m for m, _ in BUILDERS])
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_linkage_matches_full_rescan(name, mode, build):
+    dist = INPUTS[name]
+    got = build(dist)
+    want = _reference_agglomerate(dist, mode)
+    assert got.root == want.root
+    assert got.nodes == want.nodes
+
+
+def test_average_linkage_survives_overflowing_cluster_sums():
+    # Average linkage sums cross distances; at this scale the sums overflow
+    # to inf, and the builder must still merge only live clusters. The
+    # full-rescan loop merged a dead slot here ("node 1 has two parents").
+    values = np.full((4, 4), 1e308)
+    np.fill_diagonal(values, 0.0)
+    with np.errstate(over="ignore"):
+        tree = average_linkage(DistanceMatrix(values))
+    assert tree.n_leaves == 4
+    assert tree.root == 6

@@ -355,7 +355,7 @@ def test_brute_force_guards():
 def test_report_csv_shape():
     rep = tree_revenue(line_points(), line_tree())
     lines = rep.to_csv().strip().split("\n")
-    assert lines[0] == "parent_size,left_size,right_size,value"
+    assert lines[0] == "parent_size,left_size,right_size,revenue"
     assert lines[1] == "3,2,1,2.0"
     assert lines[2] == "2,1,1,1.0"
     assert lines[3] == "total,,,3.0"
