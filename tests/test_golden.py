@@ -8,8 +8,10 @@ those ids. The report digests were recorded before the distance and
 split-revenue kernels were folded into one of each; their inputs span several
 row blocks of those kernels. The three `eval_*` digests were recorded again
 when the report's value column took the objective's name; before that the
-ckmm and dasgupta files were byte-identical. Each digest is SHA-256 over `repr` of a Python
-value, over an array's bytes, or over a file's bytes.
+ckmm and dasgupta files were byte-identical. The `bkm_lloyd_*` digests of
+`_LLOYD_EDGE_CASES` were recorded before the Lloyd restarts of a node ran
+as one batch. Each digest is SHA-256 over `repr` of a Python value, over an
+array's bytes, or over a file's bytes.
 """
 
 import hashlib
@@ -33,6 +35,7 @@ from hierclust import (
     pairwise_distances,
     parse,
     random_tree,
+    synth_gaussian_mixture,
     tree_revenue,
 )
 
@@ -104,7 +107,30 @@ def _cases():
         )
     grid = TwoMeansSolverConfig(kind="lloyd", seed=5)
     out["bkm_lloyd_grid_40"] = lambda: _ids(bisecting_kmeans(_points(40, 7, 2, grid=True), grid))
+    for name, (points, fields) in _LLOYD_EDGE_CASES.items():
+        config = TwoMeansSolverConfig(kind="lloyd", seed=11, **fields)
+        out[f"bkm_lloyd_{name}"] = lambda p=points, c=config: _ids(bisecting_kmeans(p(), c))
     return out
+
+
+# Lloyd inputs and solver settings no other digest covers: 1-D sums, ties,
+# coincident and all-zero points, one-iteration and one-restart solves, the
+# tolerance at both ends, and a table1-sized mixture.
+_LLOYD_EDGE_CASES = {
+    "dim1_200": (lambda: _points(200, 21, 1), {}),
+    "dim1_grid_150": (lambda: _points(150, 22, 1, grid=True), {}),
+    "coincident_48": (lambda: PointSet(np.tile(_points(6, 23).coords, (8, 1))), {}),
+    "zeros_20": (lambda: PointSet(np.zeros((20, 3))), {}),
+    "max_iters_1": (lambda: _points(64, 24), {"lloyd_max_iters": 1}),
+    "restarts_1": (lambda: _points(64, 25), {"lloyd_restarts": 1}),
+    "tol_0": (lambda: _points(64, 26), {"lloyd_tol": 0.0}),
+    "tol_half": (lambda: _points(200, 27, 4), {"lloyd_tol": 0.5}),
+    "tol_half_grid": (lambda: _points(120, 28, 2, grid=True), {"lloyd_tol": 0.5}),
+    "mixture_1000x8": (
+        lambda: synth_gaussian_mixture(8, 1000, 8, 20.0, RngStream(11)),
+        {},
+    ),
+}
 
 
 def _parsed(spec: UltrametricSpec):
@@ -125,7 +151,17 @@ GOLDEN = {
     "bkm_lloyd_2": "e545e1dbf7b5f917e524165e7c1931a77164c175e3d3c7c5d8cbd614408e850a",
     "bkm_lloyd_3": "db97f6094030570c4a04bc2bb0f688570f5266fe8b4d2a671291c01309dbbd9f",
     "bkm_lloyd_64": "e584f8034b5d20d649146cd910aea761033cd34007ebde032dc9997d37729c6b",
+    "bkm_lloyd_coincident_48": "7fd335f049905df5a896768ab6267636fbaedf4275281f9f90bd38f576c3f50b",
+    "bkm_lloyd_dim1_200": "08747889a8a474410f4f1a94d2c1e56d0a3d4859f445a8b23c118018c959e1a1",
+    "bkm_lloyd_dim1_grid_150": "747d74bd4f323a574353691ab1c6f822eadd734d23f62b0228457fb9c43302a6",
     "bkm_lloyd_grid_40": "a33e3943f58bb8808c932d50f0610f76c5d66330e3b0163dbb440022a70efc2f",
+    "bkm_lloyd_max_iters_1": "4d383af219cb0a5d51f792533ce418432bdf02ad9cf9a6203b87a681a4f240c7",
+    "bkm_lloyd_mixture_1000x8": "ab649853d0f9dd1c9432f6af079211b27977c3015e84a6bfc6aa386eca7cbdfc",
+    "bkm_lloyd_restarts_1": "94e9158701e0c13a5e207e46ec773153f45a18bd2bebee366db6c0a56ee76e36",
+    "bkm_lloyd_tol_0": "9d253eac377d95340e4f4f39407e389cfbf7c2a1245ea65d626e97e1a62dd836",
+    "bkm_lloyd_tol_half": "feb8859508d71a33b4354cba2181a6da13bd7df163903ef72aa231e636ab7475",
+    "bkm_lloyd_tol_half_grid": "8ad4c2cb2b2092c0d3e874761fa41f123860ad0f852ca2c1bf48e70c2c09ef0e",
+    "bkm_lloyd_zeros_20": "658520dbcc581cad87e6ac9666693477a8916fb309bf41c5f2cb507dff662bdd",
     "embed_parsed_strict_1": "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
     "embed_parsed_strict_17": "4cc79c602df6a2ece2b039d817009489a4a7f5941edb9363d2c60a332e3ff971",
     "embed_parsed_strict_2": "5f28532b47fd3703c80fbe79a33bdd2dd0f392e6a37e5e4d8b1d5e76d07c9b2a",
