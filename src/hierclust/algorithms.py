@@ -4,7 +4,12 @@ Four builders, all emitting the same dendrogram type:
 
 * bisecting_kmeans -- divisive; recursively applies a 2-means split, solved
   either exactly (every bipartition enumerated) or by restarted Lloyd
-  iterations seeded with k-means++.
+  iterations seeded with k-means++. All restarts of a node run as one
+  batched array pass, and each leaves the batch when its own centers stop
+  moving. The tolerance scales with the node's diameter, which is bracketed
+  in [r, 2r] by the largest distance r from the node's first point and
+  computed exactly only when a move falls inside the bracket. A 2-point
+  node takes its only split without running Lloyd.
 * average_linkage / single_linkage -- agglomerative over a distance matrix,
   merging the pair of clusters with minimum mean / minimum single
   inter-cluster distance. Each row caches its nearest live partner and a
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import Callable, Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -63,9 +68,12 @@ class TwoMeansSolverConfig:
 
     `exhaustive` enumerates all 2^(m-1) - 1 bipartitions and refuses sets
     larger than `max_exhaustive_n`; `lloyd` runs `lloyd_restarts` k-means++
-    seeded Lloyd iterations and keeps the best. `lloyd_tol` is relative to
-    the current set's diameter. `max_exhaustive_n` is at most 64, the widest
-    set whose 2^(m-1) bipartition masks fit in int64.
+    seeded Lloyd iterations and keeps the best. A Lloyd restart stops once
+    no center moves more than `lloyd_tol` times the current set's exact
+    diameter; bounds on the diameter settle most moves, so the exact value
+    is computed only when they cannot, and never changes the outcome.
+    `max_exhaustive_n` is at most 64, the widest set whose 2^(m-1)
+    bipartition masks fit in int64.
     """
 
     kind: str = "exhaustive"
@@ -147,51 +155,176 @@ def _exhaustive_two_means(coords: np.ndarray, ids: np.ndarray) -> Tuple[Split, f
     return split, float(cost)
 
 
-def _lloyd_once(
-    pts: np.ndarray, g: np.random.Generator, max_iters: int, move_tol: float
-) -> np.ndarray:
-    m = len(pts)
-    c0 = pts[int(g.integers(m))]
-    d2 = ((pts - c0) ** 2).sum(axis=1)
-    total = float(d2.sum())
-    if total == 0.0:
-        c1 = pts[0]
+# Entries of one difference or masked-sum temporary in the batched Lloyd
+# pass: about 32 MB of float64, the cap `_distance_blocks` uses.
+_BATCH_ENTRIES = 4_000_000
+
+# `_move_test` trusts its upper bound 2r only for r in this range. There no
+# squared distance up to (2r)^2 overflows, and what a square loses to
+# underflow is far below its rounding error; outside it, every move above
+# the lower bound computes the exact diameter.
+_BRACKET_RANGE = (2.0**-460, 2.0**500)
+
+
+def _batch_blocks(runs: int, rows: int, width: int) -> Iterator[Tuple[slice, slice]]:
+    """Cover (runs x rows) by (restart slice, row slice) blocks, rows inner.
+
+    A block holds at most `_BATCH_ENTRIES` entries at `width` entries per
+    (restart, row), or one row when a single row is wider than that.
+    """
+    row_step = max(1, min(rows, _BATCH_ENTRIES // width))
+    run_step = max(1, _BATCH_ENTRIES // (row_step * width))
+    for a in range(0, runs, run_step):
+        for s in range(0, rows, row_step):
+            yield slice(a, a + run_step), slice(s, s + row_step)
+
+
+def _squared_distances(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """out[r, i, k]: squared distance from pts[i] to centers[r, k].
+
+    Each entry sums its squared differences over the last axis, as one
+    (m, k, dim) difference would, so it matches that bit for bit. The
+    difference is one expression, so no name holds a block while the next
+    one is made.
+    """
+    runs, k, dim = centers.shape
+    out = np.empty((runs, len(pts), k))
+    for rs, ss in _batch_blocks(runs, len(pts), k * dim):
+        out[rs, ss] = ((pts[None, ss, None, :] - centers[rs, None, :, :]) ** 2).sum(axis=3)
+    return out
+
+
+def _side_centroids(pts: np.ndarray, side: np.ndarray, ones: np.ndarray) -> np.ndarray:
+    """out[r, k]: pts[side[r] == k].mean(axis=0), bit for bit; `ones` counts side 1.
+
+    numpy sums the rows of a selection of two or more columns one after
+    another. Each block here starts from the running sum (-0.0 at first)
+    and holds the block's rows with the other side's rows set to -0.0,
+    which leaves every partial sum as it is, so its row-by-row sum is the
+    same. A single column is summed pairwise instead, so with dim == 1 each
+    side's selection is summed by itself.
+    """
+    runs, m = side.shape
+    dim = pts.shape[1]
+    sums = np.full((runs, 2, dim), -0.0)
+    if dim == 1:
+        for r in range(runs):
+            for k in (0, 1):
+                sums[r, k] = pts[side[r] == k].sum(axis=0)
     else:
-        c1 = pts[int(g.choice(m, p=d2 / total))]
-    centers = np.stack([c0, c1])
-    assign = np.zeros(m, dtype=np.intp)
-    for _ in range(max_iters):
-        dist2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        assign = dist2.argmin(axis=1)
-        for side in (0, 1):
-            if not (assign == side).any():
-                own = dist2[np.arange(m), assign]
-                assign[int(own.argmax())] = side
-        new_centers = np.stack([pts[assign == 0].mean(axis=0), pts[assign == 1].mean(axis=0)])
-        move = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
-        centers = new_centers
-        if move <= move_tol:
-            break
-    return assign
+        on_side = side[:, None, :, None] == np.arange(2)[:, None, None]
+        for rs, ss in _batch_blocks(runs, m, 2 * dim):
+            block = np.empty((len(sums[rs]), 2, 1 + len(pts[ss]), dim))
+            block[:, :, 0] = sums[rs]
+            block[:, :, 1:] = -0.0
+            np.copyto(block[:, :, 1:], pts[ss], where=on_side[rs, :, ss])
+            sums[rs] = block.sum(axis=2)
+            del block  # freed before the next block is made
+    return sums / np.stack([m - ones, ones], axis=1)[:, :, None]
+
+
+def _move_test(pts: np.ndarray, tol: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Return a test of `move <= tol * diameter(pts)` for an array of moves.
+
+    With r the largest distance from the first point, the diameter lies in
+    [r, 2r]. r is one of the distances the diameter is the maximum of, so a
+    move up to tol * r passes. A move above tol * 2r fails once 2r is
+    widened by (dim + 4) * 2^-50, more than twice the relative rounding
+    error of a computed distance. Only a move in between computes the exact
+    O(m^2 dim) diameter, once per set.
+    """
+    r = max(float(block.max()) for _, block in _distance_blocks(pts[:1], pts))
+    low = tol * r
+    if _BRACKET_RANGE[0] <= r <= _BRACKET_RANGE[1]:
+        high = tol * (2.0 * r) * (1.0 + (pts.shape[1] + 4) * 2.0**-50)
+    else:
+        high = np.inf
+    diameter: List[float] = []
+
+    def passes(move: np.ndarray) -> np.ndarray:
+        done = move <= low
+        unsure = ~done & (move <= high)
+        if unsure.any():
+            if not diameter:
+                # The maximum over row blocks is exact: sqrt is monotone.
+                diameter.append(max(float(b.max()) for _, b in _distance_blocks(pts, pts)))
+            done |= unsure & (move <= tol * diameter[0])
+        return done
+
+    return passes
 
 
 def _lloyd_two_means(
     coords: np.ndarray, ids: np.ndarray, config: TwoMeansSolverConfig, rng: RngStream
 ) -> Tuple[Split, float]:
+    """Best of `lloyd_restarts` k-means++ seeded Lloyd runs, all in one batch.
+
+    Restart r seeds from `rng.substream(r)`. Every iteration assigns the
+    points of all live restarts at once; a restart whose side is empty moves
+    over the point farthest from its own center, and a restart leaves the
+    batch once no center moved more than `lloyd_tol` times the set's
+    diameter (see `_move_test`). The first restart with the lowest cost
+    wins. Splits, costs and their bits are those of running each restart on
+    its own. Restart and row blocks cap each (restarts, m, 2, dim)
+    temporary at `_BATCH_ENTRIES` entries, about 32 MB, or at one row when
+    a single row is wider. A 2-point set has one split and returns it
+    directly.
+    """
     pts = coords[ids]
-    # The diameter as the maximum over row blocks is exact: sqrt is monotone.
-    diameter = max(float(block.max()) for _, block in _distance_blocks(pts, pts))
-    move_tol = config.lloyd_tol * diameter
+    m = len(pts)
+    if m == 2:
+        split, _, _ = _ordered_split(ids[:1], ids[1:])
+        return split, 0.0
+    runs = config.lloyd_restarts
+    gens = [rng.substream(r).generator() for r in range(runs)]
+    first = np.array([g.integers(m) for g in gens], dtype=np.intp)
+    seed_d2 = _squared_distances(pts, pts[first, None, :])[:, :, 0]
+    totals = seed_d2.sum(axis=1)
+    for r in np.flatnonzero(~np.isfinite(totals)).tolist():
+        # Overflowed squares leave p with NaNs or a sum of 0: choice raises.
+        gens[r].choice(m, p=seed_d2[r] / totals[r])
+    # The second seed is g.choice(m, p=d2 / total), drawn as Generator.choice
+    # draws it: one g.random(), counted against the normalized cumulative
+    # sum of p. A restart whose points all sit on its first seed takes point 0.
+    cdf = np.cumsum(seed_d2 / np.where(totals == 0.0, 1.0, totals)[:, None], axis=1)
+    cdf /= np.where(totals == 0.0, 1.0, cdf[:, -1])[:, None]
+    draws = np.array([g.random() for g in gens])
+    second = np.where(totals == 0.0, 0, (cdf <= draws[:, None]).sum(axis=1))
+    centers = np.stack([pts[first], pts[second]], axis=1)
+    assign = np.zeros((runs, m), dtype=np.intp)
+    converged = _move_test(pts, config.lloyd_tol)
+    live = np.arange(runs)
+    rows = np.arange(m)
+    for _ in range(config.lloyd_max_iters):
+        dist2 = _squared_distances(pts, centers[live])
+        side = dist2.argmin(axis=2)
+        ones = side.sum(axis=1)
+        for k in np.flatnonzero((ones == 0) | (ones == m)).tolist():
+            own = dist2[k, rows, side[k]]
+            side[k, int(own.argmax())] = 1 if ones[k] == 0 else 0
+            ones[k] += 1 if ones[k] == 0 else -1
+        new = _side_centroids(pts, side, ones)
+        move = np.sqrt(((new - centers[live]) ** 2).sum(axis=2)).max(axis=1)
+        centers[live] = new
+        assign[live] = side
+        live = live[~converged(move)]
+        if live.size == 0:
+            break
+    # A restart's centers are the means of its final sides, so the squared
+    # differences from them sum to `_one_means_cost` of each side, bit for
+    # bit. One cost per distinct split: swapping the sides only swaps the
+    # two terms, so the key puts point 0 on side 0.
+    costs = {}
     best_cost = np.inf
     best_assign = None
-    for r in range(config.lloyd_restarts):
-        g = rng.substream(r).generator()
-        assign = _lloyd_once(pts, g, config.lloyd_max_iters, move_tol)
-        cost = _one_means_cost(coords, ids[assign == 0]) + _one_means_cost(
-            coords, ids[assign == 1]
-        )
-        if cost < best_cost:
-            best_cost, best_assign = cost, assign
+    for row, pair in zip(assign, centers):
+        key = (row ^ row[0]).tobytes()
+        if key not in costs:
+            d0 = pts[row == 0] - pair[0]
+            d1 = pts[row == 1] - pair[1]
+            costs[key] = float((d0 * d0).sum()) + float((d1 * d1).sum())
+        if costs[key] < best_cost:
+            best_cost, best_assign = costs[key], row
     assert best_assign is not None
     split, _, _ = _ordered_split(ids[best_assign == 0], ids[best_assign == 1])
     return split, float(best_cost)
@@ -240,6 +373,14 @@ def bisecting_kmeans(points: PointSet, config: TwoMeansSolverConfig) -> HierTree
     2-means bipartition of its node's point set. Each node draws from its
     own substream, keyed by the node's visit number, so the whole tree is a
     pure function of the input and config.seed.
+
+    The Lloyd solver runs all restarts of a node as one batched pass (each
+    restart still seeds from its own substream and stops on its own move
+    test), bounds the node's diameter by [r, 2r] with r the largest
+    distance from its first point and computes it exactly only for a move
+    between the bounds, and returns a 2-point node's only split directly.
+    A 2-point node still takes its visit number, so later nodes keep their
+    substreams.
     """
     coords = points.coords
     base = RngStream(config.seed)

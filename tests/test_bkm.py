@@ -1,0 +1,205 @@
+"""Lloyd 2-means against the per-restart loop it replaces.
+
+`_reference_lloyd_two_means` is the library's Lloyd solver before the
+restarts of a node ran as one batch: each restart draws its k-means++ seeds
+from its own substream, runs its own Lloyd loop against a tolerance scaled
+by the exact diameter, and is scored from `coords`. The library must return
+the same split and the same cost, compared with `float.hex`, on every input
+below, under every solver setting below.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from hierclust import PointSet, RngStream, TwoMeansSolverConfig, two_means
+from hierclust import algorithms
+from hierclust.algorithms import _lloyd_two_means, _ordered_split
+from hierclust.metricspace import _distance_blocks, _one_means_cost
+
+
+def _lloyd_once(
+    pts: np.ndarray, g: np.random.Generator, max_iters: int, move_tol: float
+) -> np.ndarray:
+    m = len(pts)
+    c0 = pts[int(g.integers(m))]
+    d2 = ((pts - c0) ** 2).sum(axis=1)
+    total = float(d2.sum())
+    if total == 0.0:
+        c1 = pts[0]
+    else:
+        c1 = pts[int(g.choice(m, p=d2 / total))]
+    centers = np.stack([c0, c1])
+    assign = np.zeros(m, dtype=np.intp)
+    for _ in range(max_iters):
+        dist2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assign = dist2.argmin(axis=1)
+        for side in (0, 1):
+            if not (assign == side).any():
+                own = dist2[np.arange(m), assign]
+                assign[int(own.argmax())] = side
+        new_centers = np.stack([pts[assign == 0].mean(axis=0), pts[assign == 1].mean(axis=0)])
+        move = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
+        centers = new_centers
+        if move <= move_tol:
+            break
+    return assign
+
+
+def _reference_lloyd_two_means(coords, ids, config, rng):
+    pts = coords[ids]
+    # The diameter as the maximum over row blocks is exact: sqrt is monotone.
+    diameter = max(float(block.max()) for _, block in _distance_blocks(pts, pts))
+    move_tol = config.lloyd_tol * diameter
+    best_cost = np.inf
+    best_assign = None
+    for r in range(config.lloyd_restarts):
+        g = rng.substream(r).generator()
+        assign = _lloyd_once(pts, g, config.lloyd_max_iters, move_tol)
+        cost = _one_means_cost(coords, ids[assign == 0]) + _one_means_cost(
+            coords, ids[assign == 1]
+        )
+        if cost < best_cost:
+            best_cost, best_assign = cost, assign
+    assert best_assign is not None
+    split, _, _ = _ordered_split(ids[best_assign == 0], ids[best_assign == 1])
+    return split, float(best_cost)
+
+
+# The settings the golden digests pin: defaults, one iteration, one restart,
+# an exact zero tolerance, and tolerances wide enough that moves fall
+# between the diameter bounds tol * r and tol * 2r.
+SETTINGS = (
+    {},
+    {"lloyd_max_iters": 1},
+    {"lloyd_restarts": 1},
+    {"lloyd_tol": 0.0},
+    {"lloyd_tol": 0.5},
+    {"lloyd_tol": 0.2, "lloyd_restarts": 3},
+)
+
+
+def _assert_matches(coords, ids, seed=0):
+    coords = np.asarray(coords, dtype=np.float64)
+    ids = np.asarray(ids, dtype=np.intp)
+    for fields in SETTINGS:
+        config = TwoMeansSolverConfig(kind="lloyd", seed=seed, **fields)
+        rng = RngStream(seed, (4,))
+        want_split, want_cost = _reference_lloyd_two_means(coords, ids, config, rng)
+        got_split, got_cost = _lloyd_two_means(coords, ids, config, rng)
+        assert got_split == want_split, fields
+        assert float.hex(got_cost) == float.hex(want_cost), fields
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 32, 200])
+@pytest.mark.parametrize("m", [2, 3, 5, 17, 64, 300])
+def test_lloyd_matches_per_restart_loop(m, dim):
+    g = np.random.default_rng(1000 * m + dim)
+    coords = g.standard_normal((m, dim))
+    _assert_matches(coords, np.arange(m), seed=m + dim)
+    # Two shifted groups, and a subset of a larger array in index order.
+    _assert_matches(coords + 3.0 * (np.arange(m) % 3 == 0)[:, None], np.arange(m), seed=dim)
+    wide = g.standard_normal((2 * m + 1, dim))
+    _assert_matches(wide, np.sort(g.choice(2 * m + 1, size=m, replace=False)), seed=m)
+
+
+def _coincident(locations: int, copies: int, dim: int, seed: int) -> np.ndarray:
+    return np.tile(np.random.default_rng(seed).standard_normal((locations, dim)), (copies, 1))
+
+
+def _grid(m: int, dim: int, seed: int) -> np.ndarray:
+    return np.round(np.random.default_rng(seed).standard_normal((m, dim)))
+
+
+TIE_INPUTS = {
+    "coincident_pairs_3d": _coincident(2, 5, 3, 1),
+    "coincident_5x8_2d": _coincident(5, 8, 2, 2),
+    "coincident_6x50_1d": _coincident(6, 50, 1, 3),
+    "grid_1d_150": _grid(150, 1, 4),
+    "grid_2d_120": _grid(120, 2, 5),
+    "grid_3d_64": _grid(64, 3, 6),
+    "line_equal_gaps": np.arange(33, dtype=np.float64)[:, None],
+    "zeros_3": np.zeros((3, 2)),
+    "zeros_17": np.zeros((17, 1)),
+    "zeros_64": np.zeros((64, 8)),
+    "one_point_off_zero": np.vstack([np.zeros((20, 3)), np.ones((1, 3))]),
+    "tiny_scale": 1e-170 * np.random.default_rng(7).standard_normal((40, 3)),
+    "large_scale": 1e150 * np.random.default_rng(8).standard_normal((40, 3)),
+    "far_from_origin": 1e8 + np.random.default_rng(9).standard_normal((50, 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIE_INPUTS))
+def test_lloyd_matches_per_restart_loop_on_ties(name):
+    coords = TIE_INPUTS[name]
+    for seed in range(3):
+        _assert_matches(coords, np.arange(len(coords)), seed=seed)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 200])
+def test_lloyd_matches_per_restart_loop_in_small_blocks(monkeypatch, dim):
+    # Blocks of a few restarts and rows: centroid sums carry across row
+    # blocks, and a row wider than a block gets a block of its own.
+    monkeypatch.setattr(algorithms, "_BATCH_ENTRIES", 60)
+    g = np.random.default_rng(dim)
+    coords = g.standard_normal((41, dim)) + 2.0 * (np.arange(41) % 2 == 0)[:, None]
+    _assert_matches(coords, np.arange(41), seed=dim)
+    _assert_matches(np.round(coords), np.arange(41), seed=dim)
+
+
+def test_two_means_lloyd_matches_per_restart_loop():
+    g = np.random.default_rng(12)
+    points = PointSet(g.standard_normal((80, 5)))
+    for seed, size in ((0, 2), (1, 3), (2, 9), (3, 40), (4, 80)):
+        ids = np.sort(g.choice(80, size=size, replace=False))
+        for fields in SETTINGS:
+            config = TwoMeansSolverConfig(kind="lloyd", seed=seed, **fields)
+            want = _reference_lloyd_two_means(points.coords, ids, config, RngStream(seed))
+            got = two_means(points, ids.tolist(), config)
+            assert got[0] == want[0]
+            assert float.hex(got[1]) == float.hex(want[1])
+
+
+def test_exact_diameter_only_between_its_bounds(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append(len(a))
+        return _distance_blocks(a, b)
+
+    monkeypatch.setattr(algorithms, "_distance_blocks", counting)
+    g = np.random.default_rng(13)
+    coords = g.standard_normal((200, 4))
+    ids = np.arange(200)
+    # A converged restart moves its centers by exactly 0, under any bound.
+    _lloyd_two_means(coords, ids, TwoMeansSolverConfig(kind="lloyd"), RngStream(1))
+    assert calls == [1]
+    # A wide tolerance puts some first moves between tol * r and tol * 2r;
+    # the exact diameter is then computed once for the set, and the answer
+    # still matches the loop that always computed it.
+    hits = 0
+    for seed in range(8):
+        calls.clear()
+        config = TwoMeansSolverConfig(kind="lloyd", lloyd_tol=0.2, seed=seed)
+        got = _lloyd_two_means(coords, ids, config, RngStream(seed))
+        want = _reference_lloyd_two_means(coords, ids, config, RngStream(seed))
+        assert got == want
+        assert calls.count(200) <= 1
+        hits += calls.count(200)
+    assert hits > 0
+
+
+def test_lloyd_batch_bounds_its_temporaries():
+    g = np.random.default_rng(14)
+    coords = g.standard_normal((2000, 256)) + 6.0 * (np.arange(2000) % 2 == 0)[:, None]
+    config = TwoMeansSolverConfig(kind="lloyd", seed=3)
+    # Blocks of about 32 MB keep the peak near 32 MiB. Ten restarts'
+    # (2000, 2, 256) differences in one piece would take 84 MiB.
+    tracemalloc.start()
+    try:
+        _lloyd_two_means(coords, np.arange(2000), config, RngStream(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

@@ -21,6 +21,7 @@ from hierclust import (
     triangle_decompose,
 )
 from hierclust.metricspace import close
+from hierclust.objectives import _unit_scaled
 
 
 def line_points():
@@ -119,6 +120,37 @@ def test_tree_revenue_modes_agree_random():
         a = tree_revenue(ps, tree, "split_sum").total
         b = tree_revenue(ps, tree, "pair_sum").total
         assert close(a, b)
+
+
+def _pair_revenue_calls(points: PointSet, tree: HierTree):
+    """Per-split revenue as one `pair_revenue` call per pair, in (i, j) order."""
+    points = PointSet(_unit_scaled(points.coords))
+    sides = [(frozenset(l.tolist()), frozenset(r.tolist())) for _, l, r in tree.split_arrays()]
+    values = [0.0] * len(sides)
+    for i, j in itertools.combinations(range(points.n), 2):
+        s = next(k for k, (l, r) in enumerate(sides) if (i in l and j in r) or (i in r and j in l))
+        left, right = sides[s]
+        if i in left:
+            values[s] += pair_revenue(points, left, right, i, j)
+        else:
+            values[s] += pair_revenue(points, left, right, j, i)
+    return values
+
+
+def test_pair_sum_splits_equal_pair_revenue_calls():
+    g = np.random.Generator(np.random.PCG64(24))
+    cases = [
+        PointSet(g.standard_normal((n, dim)) * scale)
+        for n, dim, scale in ((2, 1, 1.0), (3, 2, 1e-3), (9, 1, 1e5), (17, 3, 1.0), (30, 5, 7.0))
+    ]
+    cases.append(PointSet(np.round(g.standard_normal((24, 2)))))
+    cases.append(PointSet(np.tile(g.standard_normal((3, 2)), (5, 1))))
+    cases.append(PointSet(np.zeros((6, 2))))
+    for k, ps in enumerate(cases):
+        tree = random_tree(ps.n, RngStream(700 + k))
+        got = [v for _, v in tree_revenue(ps, tree, "pair_sum").per_split]
+        want = _pair_revenue_calls(ps, tree)
+        assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
 
 
 def test_tree_revenue_bounds_random():
