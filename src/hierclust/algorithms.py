@@ -257,18 +257,13 @@ def _move_test(pts: np.ndarray, tol: float) -> Callable[[np.ndarray], np.ndarray
 def _lloyd_two_means(
     coords: np.ndarray, ids: np.ndarray, config: TwoMeansSolverConfig, rng: RngStream
 ) -> Tuple[Split, float]:
-    """Best of `lloyd_restarts` k-means++ seeded Lloyd runs, all in one batch.
+    """Best of `lloyd_restarts` k-means++ seeded Lloyd runs, run as one batch.
 
-    Restart r seeds from `rng.substream(r)`. Every iteration assigns the
-    points of all live restarts at once; a restart whose side is empty moves
-    over the point farthest from its own center, and a restart leaves the
-    batch once no center moved more than `lloyd_tol` times the set's
-    diameter (see `_move_test`). The first restart with the lowest cost
-    wins. Splits, costs and their bits are those of running each restart on
-    its own. Restart and row blocks cap each (restarts, m, 2, dim)
-    temporary at `_BATCH_ENTRIES` entries, about 32 MB, or at one row when
-    a single row is wider. A 2-point set has one split and returns it
-    directly.
+    Restart r seeds from `rng.substream(r)` and leaves the batch when its
+    own move test passes; the first restart with the lowest cost wins.
+    Splits and costs are bit for bit those of running each restart alone.
+    Restart and row blocks cap every batch temporary at `_BATCH_ENTRIES`
+    entries (about 32 MB), or at one row when a single row is wider.
     """
     pts = coords[ids]
     m = len(pts)
