@@ -239,16 +239,17 @@ def _move_test(pts: np.ndarray, tol: float) -> Callable[[np.ndarray], np.ndarray
         high = tol * (2.0 * r) * (1.0 + (pts.shape[1] + 4) * 2.0**-50)
     else:
         high = np.inf
-    diameter: List[float] = []
+    diameter = None
 
     def passes(move: np.ndarray) -> np.ndarray:
+        nonlocal diameter
         done = move <= low
         unsure = ~done & (move <= high)
         if unsure.any():
-            if not diameter:
+            if diameter is None:
                 # The maximum over row blocks is exact: sqrt is monotone.
-                diameter.append(max(float(b.max()) for _, b in _distance_blocks(pts, pts)))
-            done |= unsure & (move <= tol * diameter[0])
+                diameter = max(float(b.max()) for _, b in _distance_blocks(pts, pts))
+            done |= unsure & (move <= tol * diameter)
         return done
 
     return passes
