@@ -63,6 +63,7 @@ from .metricspace import (
 from .objectives import (
     HIGH_REVENUE_MIN,
     OBJECTIVE_KINDS,
+    OPT_MAX_N,
     HighRevenueStats,
     ObjectiveReport,
     TriangleDecomposition,

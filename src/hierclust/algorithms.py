@@ -26,13 +26,21 @@ independent uses never share draws.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Tuple, Union
 
 import numpy as np
 
 from .hiertree import HierTree, Split, _divide
-from .metricspace import DistanceMatrix, PointSet, _distance_blocks, _one_means_cost
+from .metricspace import (
+    DistanceMatrix,
+    PointSet,
+    _distance_blocks,
+    _one_means_cost,
+    _unit_exponent,
+    _unit_scaled,
+)
 
 
 @dataclass(frozen=True)
@@ -276,9 +284,6 @@ def _lloyd_two_means(
     first = np.array([g.integers(m) for g in gens], dtype=np.intp)
     seed_d2 = _squared_distances(pts, pts[first, None, :])[:, :, 0]
     totals = seed_d2.sum(axis=1)
-    for r in np.flatnonzero(~np.isfinite(totals)).tolist():
-        # Overflowed squares leave p with NaNs or a sum of 0: choice raises.
-        gens[r].choice(m, p=seed_d2[r] / totals[r])
     # The second seed is g.choice(m, p=d2 / total), drawn as Generator.choice
     # draws it: one g.random(), counted against the normalized cumulative
     # sum of p. A restart whose points all sit on its first seed takes point 0.
@@ -349,13 +354,20 @@ def two_means(
     lexicographically smallest sorted side containing the minimum index.
     The Lloyd solver returns the best of its restarts; it never beats the
     exhaustive optimum but may fall short of it.
+    Both solve on coordinates scaled by an exact power of two, as
+    `bisecting_kmeans` does, and report the cost in the original units.
     """
     ids = np.array(sorted(int(i) for i in indexset), dtype=np.intp)
     if len(np.unique(ids)) != len(ids):
         raise ValueError("index set contains duplicates")
     if ids.size and (ids[0] < 0 or ids[-1] >= points.n):
         raise IndexError("index out of range")
-    return _solve_two_means(points.coords, ids, config, RngStream(config.seed))
+    exponent = _unit_exponent(points.coords)
+    split, cost = _solve_two_means(_unit_scaled(points.coords), ids, config, RngStream(config.seed))
+    try:
+        return split, math.ldexp(cost, 2 * exponent)
+    except OverflowError:  # a cost past the float range
+        return split, math.inf
 
 
 # ----------------------------------------------------------------------
@@ -377,8 +389,13 @@ def bisecting_kmeans(points: PointSet, config: TwoMeansSolverConfig) -> HierTree
     between the bounds, and returns a 2-point node's only split directly.
     A 2-point node still takes its visit number, so later nodes keep their
     substreams.
+
+    Both solvers work on the coordinates scaled by the power of two that
+    brings the largest magnitude into [0.5, 1). The scale is exact, so it
+    changes no split of normal inputs, and squares of huge coordinates no
+    longer overflow.
     """
-    coords = points.coords
+    coords = _unit_scaled(points.coords)
     base = RngStream(config.seed)
     visits = itertools.count()
 

@@ -37,6 +37,7 @@ from .algorithms import (
 from .hiertree import HierTree, TreeParseError, parse
 from .metricspace import DistanceMatrix, PointSet, pairwise_distances
 from .objectives import (
+    OPT_MAX_N,
     ObjectiveReport,
     brute_force_opt,
     ckmm_value,
@@ -56,19 +57,25 @@ class DataError(ValueError):
     """Bad input data or an unrunnable configuration (CLI exit code 2)."""
 
 
-# The largest n x n float64 distance matrix an experiment or CLI command may
-# allocate; the linkage builders hold one working copy of the same size.
+# The largest n x n float64 distance matrix, or n x 2(n-1) ultrametric
+# embedding, an experiment or CLI command may allocate; the linkage builders
+# hold one working copy of a distance matrix of the same size.
 _MAX_DISTANCE_BYTES = 1 << 30
+
+
+def _check_size(rows: int, cols: int, what: str) -> None:
+    """Refuse a rows x cols float64 array over `_MAX_DISTANCE_BYTES` before it is allocated."""
+    nbytes = rows * cols * 8
+    if nbytes > _MAX_DISTANCE_BYTES:
+        raise DataError(
+            f"a {rows}x{cols} {what} needs {nbytes} bytes,"
+            f" over the limit of {_MAX_DISTANCE_BYTES} bytes"
+        )
 
 
 def _distances(points: PointSet) -> DistanceMatrix:
     """The points' distance matrix, refused before allocation when too large."""
-    nbytes = points.n * points.n * 8
-    if nbytes > _MAX_DISTANCE_BYTES:
-        raise DataError(
-            f"a {points.n}x{points.n} distance matrix needs {nbytes} bytes,"
-            f" over the limit of {_MAX_DISTANCE_BYTES} bytes"
-        )
+    _check_size(points.n, points.n, "distance matrix")
     return pairwise_distances(points)
 
 
@@ -541,7 +548,9 @@ def _build_cli() -> _Parser:
     p.add_argument("--tree-file", required=True)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("enumerate-opt", help="exact optimum over all trees (n <= 7)")
+    p = sub.add_parser(
+        "enumerate-opt", help=f"exact optimum over all trees (n <= {OPT_MAX_N})"
+    )
     _add_points_arguments(p)
     p.add_argument("--objective", choices=OBJECTIVES, required=True)
     p.add_argument("--out", default=None)
@@ -597,6 +606,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise DataError(f"cannot read {args.spec}: {exc}") from exc
     spec = UltrametricSpec.parse(text)
+    _check_size(spec.n, 2 * (spec.n - 1), "embedding")
     _write_or_print(_points_csv_text(embed_euclidean(spec)), args.out)
     return 0
 
@@ -629,8 +639,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate_opt(args: argparse.Namespace) -> int:
     points = _load_points(args)
-    if points.n > 7:
-        raise DataError("enumerate-opt is capped at 7 points")
+    if points.n > OPT_MAX_N:
+        raise DataError(f"enumerate-opt is capped at {OPT_MAX_N} points")
     tree, value = brute_force_opt(
         points if args.objective == "revenue" else _distances(points), args.objective
     )

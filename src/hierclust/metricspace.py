@@ -8,6 +8,7 @@ and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -171,6 +172,22 @@ def kmeans_cost(points: PointSet, parts: Sequence[Iterable[int]]) -> float:
     if merged.size != n or not np.array_equal(np.sort(merged), np.arange(n)):
         raise ValueError("parts must form a partition of 0..n-1")
     return float(sum(_one_means_cost(points.coords, ids) for ids in arrays))
+
+
+def _unit_exponent(coords: np.ndarray) -> int:
+    """The e with the largest magnitude in `coords` in [2^(e-1), 2^e); 0 when all are 0."""
+    return math.frexp(max(float(coords.max()), -float(coords.min())))[1]
+
+
+def _unit_scaled(coords: np.ndarray) -> np.ndarray:
+    """`coords` times the power of two that brings the largest magnitude into [0.5, 1).
+
+    Revenue and 2-means splits are scale-invariant and the scale is exact,
+    so normal inputs keep every bit, while tiny or huge ones no longer
+    square to 0 or inf.
+    """
+    exponent = _unit_exponent(coords)
+    return coords if exponent == 0 else np.ldexp(coords, -exponent)
 
 
 def _distance_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:

@@ -29,8 +29,16 @@ from typing import Iterable, Iterator, List, NamedTuple, Tuple, Union
 
 import numpy as np
 
-from .hiertree import HierTree, Split, enumerate_trees
-from .metricspace import ABS_TOL, REL_TOL, DistanceMatrix, PointSet, _distance_blocks, close
+from .hiertree import HierTree, Split, _divide
+from .metricspace import (
+    ABS_TOL,
+    REL_TOL,
+    DistanceMatrix,
+    PointSet,
+    _distance_blocks,
+    _unit_scaled,
+    close,
+)
 
 OBJECTIVE_KINDS = ("revenue", "ckmm", "dasgupta")
 
@@ -200,16 +208,6 @@ def _pair_revenue_values(coords: np.ndarray, tree: HierTree) -> List[float]:
     return values
 
 
-def _unit_scaled(coords: np.ndarray) -> np.ndarray:
-    """`coords` times the power of two that brings the largest magnitude into [0.5, 1).
-
-    Revenue is scale-invariant and the scale is exact, so normal inputs keep
-    every bit, while tiny or huge ones no longer square to 0 or inf.
-    """
-    _, exponent = math.frexp(max(float(coords.max()), -float(coords.min())))
-    return coords if exponent == 0 else np.ldexp(coords, -exponent)
-
-
 def _check_tree_points(points: PointSet, tree: HierTree) -> None:
     if tree.n_leaves != points.n:
         raise ValueError(
@@ -376,41 +374,138 @@ def triangle_decompose(
 
 
 # ----------------------------------------------------------------------
-# exhaustive optimum
+# exact optimum
+
+# The largest n `brute_force_opt` and the `enumerate-opt` command serve,
+# for a budget of one second per call. On 2 vCPUs the subset DP takes
+# 0.5-0.75 s for revenue at n = 12 (3 to 1000 coordinates) and 0.1-0.2 s
+# for ckmm and dasgupta; n = 13 takes 1.1-1.8 s for revenue.
+OPT_MAX_N = 12
+
+# Entries of one temporary in `_subset_radii`: 8 MB of float64.
+_SUBSET_ENTRIES = 1 << 20
+
+
+def _bipartitions(k: int) -> np.ndarray:
+    """(2^(k-1) - 1, k) bool rows: the S1 side of each bipartition of k items.
+
+    Item 0 is always in S1; row t puts item c >= 1 in S1 when bit c - 1 of
+    t is set. t stops short of all ones, which would leave S2 empty.
+    """
+    t = np.arange((1 << (k - 1)) - 1, dtype=np.int64)
+    rest = (t[:, None] >> np.arange(k - 1)) & 1
+    return np.concatenate((np.ones((len(t), 1), dtype=bool), rest.astype(bool)), axis=1)
+
+
+def _subset_radii(coords: np.ndarray) -> np.ndarray:
+    """out[S, i]: distance from point i to the centroid of the subset with bitmask S.
+
+    A centroid adds its points one after another in index order. For a
+    subset of equal points (up to eight of them in one coordinate), or one
+    whose sums are exact, such as small integers, that is the centroid
+    `_split_revenue_blocks` computes, so its points sit exactly on it and
+    keep the delta = 0 convention. Elsewhere the two agree to rounding.
+    Row 0 and the entries of points outside S are never read.
+    """
+    n, dim = coords.shape
+    out = np.zeros((1 << n, n))
+    step = max(1, _SUBSET_ENTRIES // dim)
+    for s in range(1, 1 << n, step):
+        masks = np.arange(s, min(s + step, 1 << n))
+        member = (masks[:, None] >> np.arange(n)) & 1 == 1
+        total = np.zeros((len(masks), dim))
+        for i in range(n):
+            total += np.where(member[:, i, None], coords[i], 0.0)
+        mean = total / member.sum(axis=1)[:, None]
+        for i in range(n):
+            out[masks, i] = np.sqrt(((coords[i] - mean) ** 2).sum(axis=1))
+    return out
 
 
 def brute_force_opt(
     instance: Union[PointSet, DistanceMatrix], objective_kind: str
 ) -> Tuple[HierTree, float]:
-    """Exact optimum over every tree topology; n is capped at 7.
+    """Exact optimum over every tree topology, by dynamic programming over subsets.
 
     Revenue takes a PointSet; ckmm and dasgupta take a DistanceMatrix.
-    Maximizes revenue and ckmm, minimizes dasgupta. Of equally good trees
-    the first in enumeration order is returned.
+    Maximizes revenue and ckmm, minimizes dasgupta. Each objective is a sum
+    over splits of a value that depends only on the split's two sides, so
+
+        OPT(S) = best over bipartitions (S1, S2) of S of
+                 value(S1, S2) + OPT(S1) + OPT(S2),   OPT({i}) = 0.
+
+    Every subset of two or more points is solved once, from smaller ones,
+    with all its bipartitions scored as one array pass: (3^n - 2^(n+1) + 1)/2
+    split values in all, in place of (2n-3)!! trees of n-1 splits each.
+    n is capped at `OPT_MAX_N`.
+
+    Ties: S1 always holds the lowest index of S, and a subset's bipartitions
+    are visited in increasing order of the bitmask of S1 (bit i for point
+    i); a later bipartition replaces the current best only when its sum is
+    strictly better. The returned value is not the DP's running sum but the
+    `math.fsum` of the returned tree's own per-split values, so it equals
+    the total that `tree_revenue`, `ckmm_value` or `dasgupta_cost` reports
+    for that tree.
     """
     if objective_kind not in OBJECTIVE_KINDS:
         raise ValueError(f"unknown objective kind {objective_kind!r}")
     if objective_kind == "revenue":
         if not isinstance(instance, PointSet):
             raise TypeError("revenue optimization needs a PointSet")
-        n = instance.n
+    elif not isinstance(instance, DistanceMatrix):
+        raise TypeError(f"{objective_kind} optimization needs a DistanceMatrix")
+    n = instance.n
+    if n > OPT_MAX_N:
+        raise ValueError(f"brute_force_opt is capped at n = {OPT_MAX_N}")
+    if isinstance(instance, PointSet):
         coords = _unit_scaled(instance.coords)
-        evaluate = lambda t: math.fsum(_revenue_values(coords, t))
+        radii = _subset_radii(coords)
+        dist = np.empty((n, n))
+        for s, block in _distance_blocks(coords, coords):
+            dist[s : s + len(block)] = block
+
+        def split_values(ids, left, left_mask, right_mask):
+            # The arithmetic of `_split_revenue_blocks`, for every bipartition at once.
+            r = radii[np.where(left, left_mask[:, None], right_mask[:, None]), ids]
+            delta = np.maximum(r[:, :, None], r[:, None, :])
+            safe = np.where(delta == 0.0, 1.0, delta)
+            rev = np.where(delta == 0.0, 1.0, np.minimum(dist[np.ix_(ids, ids)] / safe, 1.0))
+            return (rev * (left[:, :, None] & ~left[:, None, :])).sum(axis=(1, 2))
+
+        evaluate = lambda t: _revenue_values(coords, t)
     else:
-        if not isinstance(instance, DistanceMatrix):
-            raise TypeError(f"{objective_kind} optimization needs a DistanceMatrix")
-        n = instance.n
-        evaluate = lambda t: math.fsum(_lca_weighted_values(instance.values, t))
-    if n > 7:
-        raise ValueError("brute_force_opt is capped at n = 7")
-    if n == 1:
-        return HierTree([0], 0), 0.0
-    minimize = objective_kind == "dasgupta"
-    best_tree = None
-    best_value = None
-    for tree in enumerate_trees(n):
-        value = evaluate(tree)
-        if best_value is None or (value < best_value if minimize else value > best_value):
-            best_tree, best_value = tree, value
-    assert best_tree is not None
-    return best_tree, float(best_value)
+        weights = instance.values
+
+        def split_values(ids, left, left_mask, right_mask):
+            cross = (left @ weights[np.ix_(ids, ids)]) * ~left
+            return len(ids) * cross.sum(axis=1)
+
+        evaluate = lambda t: _lca_weighted_values(weights, t)
+    pick = np.argmin if objective_kind == "dasgupta" else np.argmax
+    bit = 1 << np.arange(n, dtype=np.int64)
+    sides = {}
+    opt = np.zeros(1 << n)
+    choice = [0] * (1 << n)
+    for mask in range(3, 1 << n):
+        if mask & (mask - 1) == 0:
+            continue
+        ids = np.flatnonzero(mask & bit)
+        k = len(ids)
+        if k not in sides:
+            sides[k] = _bipartitions(k)
+        left = sides[k]
+        left_mask = left @ bit[ids]
+        right_mask = mask ^ left_mask
+        values = split_values(ids, left, left_mask, right_mask)
+        totals = values + opt[left_mask] + opt[right_mask]
+        best = int(pick(totals))
+        opt[mask] = totals[best]
+        choice[mask] = int(left_mask[best])
+
+    def expand(mask: int, nid: int):
+        if mask & (mask - 1) == 0:
+            return mask.bit_length() - 1
+        return choice[mask], mask ^ choice[mask]
+
+    tree = HierTree(_divide((1 << n) - 1, expand), 0)
+    return tree, math.fsum(evaluate(tree))

@@ -179,13 +179,18 @@ def build_generating_tree(dist: DistanceMatrix) -> HierTree:
     maximum distance (to tolerance), else i's side. On an ultrametric input
     the result passes verify_generating_tree; anything else raises with a
     violating triple.
+
+    The tree is built first and checked by `verify_generating_tree` at the
+    same tolerance; only when that fails does the O(n^3) `check_ultrametric`
+    run. A passing split check already implies the strong triangle
+    inequality within tol: d(x, y) is at most the largest distance dmax
+    under LCA(x, y), and any z lies across a split at or above that LCA
+    from x or from y, at a cross distance within tol of a dmax at least as
+    large.
     """
     v = dist.values
     n = dist.n
     tol = 1e-9 * float(v.max()) if n > 1 else 0.0
-    ok, triple = check_ultrametric(dist, tol)
-    if not ok:
-        raise ValueError(f"input is not an ultrametric: triple {triple} violates the inequality")
 
     def expand(ids: np.ndarray, nid: int):
         if len(ids) == 1:
@@ -201,7 +206,12 @@ def build_generating_tree(dist: DistanceMatrix) -> HierTree:
         to_right[pi] = False
         return ids[~to_right], ids[to_right]
 
-    return HierTree(_divide(np.arange(n, dtype=np.intp), expand), 0)
+    tree = HierTree(_divide(np.arange(n, dtype=np.intp), expand), 0)
+    if not verify_generating_tree(dist, tree, tol)[0]:
+        ok, triple = check_ultrametric(dist, tol)
+        if not ok:
+            raise ValueError(f"input is not an ultrametric: triple {triple} violates the inequality")
+    return tree
 
 
 def verify_generating_tree(

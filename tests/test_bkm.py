@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hierclust import PointSet, RngStream, TwoMeansSolverConfig, two_means
+from hierclust import PointSet, RngStream, TwoMeansSolverConfig, bisecting_kmeans, two_means
 from hierclust import algorithms
 from hierclust.algorithms import _lloyd_two_means, _ordered_split
 from hierclust.metricspace import _distance_blocks, _one_means_cost
@@ -78,6 +78,10 @@ SETTINGS = (
     {"lloyd_tol": 0.5},
     {"lloyd_tol": 0.2, "lloyd_restarts": 3},
 )
+
+
+def _ids(tree):
+    return tree.root, tree.nodes
 
 
 def _assert_matches(coords, ids, seed=0):
@@ -203,3 +207,31 @@ def test_lloyd_batch_bounds_its_temporaries():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+# Squared differences of these coordinates overflow to inf.
+HUGE = np.array([[0.0, 0.0], [1e200, 1e200], [-1e200, 5.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize("kind", ["lloyd", "exhaustive"])
+def test_bisecting_tree_is_unchanged_by_a_power_of_two_scale(kind):
+    g = np.random.default_rng(15)
+    inputs = (
+        (HUGE, (-600,)),
+        (g.standard_normal((18, 3)), (-600, 600)),
+        (TIE_INPUTS["coincident_pairs_3d"], (-600, 600)),
+    )
+    for k, (coords, exponents) in enumerate(inputs):
+        config = TwoMeansSolverConfig(kind=kind, seed=k)
+        want = bisecting_kmeans(PointSet(coords), config)
+        for exponent in exponents:
+            got = bisecting_kmeans(PointSet(np.ldexp(coords, exponent)), config)
+            assert _ids(got) == _ids(want), exponent
+
+
+def test_two_means_cost_in_original_units():
+    config = TwoMeansSolverConfig(kind="exhaustive")
+    split, cost = two_means(PointSet(HUGE), range(4), config)
+    assert cost == np.inf  # about 3e400, past the float range
+    small = PointSet(np.ldexp(HUGE, -700))
+    assert two_means(small, range(4), config)[0] == split

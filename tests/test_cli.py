@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage errors, 2 data errors.
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -59,9 +60,41 @@ def test_bad_tree_file_is_data_error(capsys, tmp_path, line_csv):
 
 def test_enumerate_opt_size_cap(capsys, tmp_path):
     big = tmp_path / "big.csv"
-    big.write_text("\n".join(str(float(i)) for i in range(9)) + "\n")
+    big.write_text("\n".join(str(float(i)) for i in range(hierclust.OPT_MAX_N + 1)) + "\n")
     code, _, err = run(capsys, ["enumerate-opt", "--objective", "revenue", "--points", str(big)])
     assert code == 2
+    assert err == f"error: enumerate-opt is capped at {hierclust.OPT_MAX_N} points\n"
+    at_cap = tmp_path / "at_cap.csv"
+    at_cap.write_text("\n".join(str(float(i)) for i in range(hierclust.OPT_MAX_N)) + "\n")
+    code, out, _ = run(capsys, ["enumerate-opt", "--objective", "ckmm", "--points", str(at_cap)])
+    assert code == 0
+    assert out.splitlines()[0] == "objective,ckmm"
+
+
+@pytest.mark.parametrize("solver", ["lloyd", "exhaustive"])
+def test_bkm_on_coordinates_whose_squares_overflow(capsys, tmp_path, solver):
+    huge = tmp_path / "huge.csv"
+    huge.write_text("0,0\n1e200,1e200\n-1e200,5\n3,4\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys,
+            ["cluster", "--points", str(huge), "--algo", "bkm", "--solver", solver, "--seed", "1"],
+        )
+    assert (code, err) == (0, "")
+    hierclust.parse(out.strip())
+
+
+def test_embed_size_guard_names_bytes_and_limit(capsys, monkeypatch, tmp_path):
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text("((0,1):1.0,(2,3):1.0):2.0\n")
+    monkeypatch.setattr(harness, "_MAX_DISTANCE_BYTES", 192)  # 4 x 6 float64
+    code, out, _ = run(capsys, ["embed", "--spec", str(spec_file)])
+    assert code == 0 and len(out.splitlines()) == 4
+    monkeypatch.setattr(harness, "_MAX_DISTANCE_BYTES", 191)
+    code, out, err = run(capsys, ["embed", "--spec", str(spec_file)])
+    assert (code, out) == (2, "")
+    assert err == "error: a 4x6 embedding needs 192 bytes, over the limit of 191 bytes\n"
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,12 @@ row blocks of those kernels. The three `eval_*` digests were recorded again
 when the report's value column took the objective's name; before that the
 ckmm and dasgupta files were byte-identical. The `bkm_lloyd_*` digests of
 `_LLOYD_EDGE_CASES` were recorded before the Lloyd restarts of a node ran
-as one batch. Each digest is SHA-256 over `repr` of a Python value, over an
-array's bytes, or over a file's bytes.
+as one batch. `enumerate_opt_revenue` was recorded again when the exact
+optimum became a subset DP: its six points tie at the n(n-1)/2 bound on
+several trees, and the DP's tie rule returns `((0,1),((2,3),(4,5)))` where
+enumeration order returned `(((0,1),(2,3)),(4,5))`, both worth 15.0. Each
+digest is SHA-256 over `repr` of a Python value, over an array's bytes, or
+over a file's bytes.
 """
 
 import hashlib
@@ -399,7 +403,7 @@ REPORT_GOLDEN = {
     "cluster_single": "42c4c4202cffddad015634cf80c2482e3d606b3127c9f6ea1a1cea767357aa6c",
     "enumerate_opt_ckmm": "ec9d02078e92fa4ad51c16395e4fa34ca9b4de2933ce9b7977dd4257c9fddd94",
     "enumerate_opt_dasgupta": "87a2556442b3f4b7d4e05254f88f4ecf887d173438c9a5d9a0a5dd36f8bf6132",
-    "enumerate_opt_revenue": "c2b4b18cafa1127e15fb7a5a1f1398505f166b623b75efba8f12d4e667a6f15c",
+    "enumerate_opt_revenue": "c2b51f4fedb4ea6f1fb50eef429e03575b5d857bfed714f4594e65ab41c94c34",
     "eval_ckmm": "952e84285815770cd031ab36608e9787be70e94b7498e4aede379b68452aa324",
     "eval_dasgupta": "6adec1f03f7ef738f8e171d6ab604a39fdfbff33396651fe6f3f16ebedad29d3",
     "eval_revenue": "94b324daa1a53eb47cce4c4241fa3aa68571dd8319b5c4fb7cf33a9033826c32",

@@ -1,9 +1,12 @@
+import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from hierclust import (
+    OPT_MAX_N,
     DistanceMatrix,
     HierTree,
     PointSet,
@@ -21,7 +24,7 @@ from hierclust import (
     triangle_decompose,
 )
 from hierclust.metricspace import close
-from hierclust.objectives import _unit_scaled
+from hierclust.objectives import _lca_weighted_values, _revenue_values, _unit_scaled
 
 
 def line_points():
@@ -371,13 +374,117 @@ def test_brute_force_on_embedded_ultrametric_reaches_the_bound():
 def test_brute_force_guards():
     g = np.random.Generator(np.random.PCG64(42))
     with pytest.raises(ValueError):
-        brute_force_opt(PointSet(g.standard_normal((8, 2))), "revenue")
+        brute_force_opt(PointSet(g.standard_normal((OPT_MAX_N + 1, 2))), "revenue")
     with pytest.raises(TypeError):
         brute_force_opt(pairwise_distances(line_points()), "revenue")
     with pytest.raises(TypeError):
         brute_force_opt(line_points(), "ckmm")
     with pytest.raises(ValueError):
         brute_force_opt(line_points(), "bogus")
+
+
+@functools.lru_cache(maxsize=None)
+def _all_trees(n):
+    return tuple(enumerate_trees(n))
+
+
+def _reference_brute_force_opt(instance, objective_kind):
+    """`brute_force_opt` before the subset DP: score every tree, keep the first best."""
+    if objective_kind == "revenue":
+        n = instance.n
+        coords = _unit_scaled(instance.coords)
+        evaluate = lambda t: math.fsum(_revenue_values(coords, t))
+    else:
+        n = instance.n
+        evaluate = lambda t: math.fsum(_lca_weighted_values(instance.values, t))
+    if n == 1:
+        return HierTree([0], 0), 0.0
+    minimize = objective_kind == "dasgupta"
+    best_tree = None
+    best_value = None
+    for tree in _all_trees(n):
+        value = evaluate(tree)
+        if best_value is None or (value < best_value if minimize else value > best_value):
+            best_tree, best_value = tree, value
+    return best_tree, float(best_value)
+
+
+def _opt_points(kind, n):
+    """Seeded inputs for the DP against enumeration: exact ties and rounding-prone sums."""
+    g = np.random.default_rng(100 * n + len(kind))
+    if kind == "gaussian":
+        return PointSet(g.standard_normal((n, 3)))
+    if kind == "coincident":  # up to three copies of each of three locations
+        return PointSet(g.standard_normal((3, 2))[np.arange(n) % 3])
+    if kind == "zeros":
+        return PointSet(np.zeros((n, 2)))
+    if kind == "grid":  # 1-D, with repeated values
+        return PointSet(np.round(2.0 * g.standard_normal((n, 1))))
+    from hierclust import embed_euclidean, generate_random
+
+    return embed_euclidean(generate_random(n, RngStream(n), kind))
+
+
+def _assert_opt_is_own_total(instance, objective_kind, tree, value):
+    if objective_kind == "revenue":
+        report = tree_revenue(instance, tree)
+    elif objective_kind == "ckmm":
+        report = ckmm_value(instance, tree)
+    else:
+        report = dasgupta_cost(instance, tree)
+    assert float.hex(value) == float.hex(report.total)
+    assert float.hex(value) == float.hex(math.fsum(v for _, v in report.per_split))
+
+
+@pytest.mark.parametrize(
+    "kind", ["gaussian", "coincident", "zeros", "grid", "strict", "with_ties"]
+)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_brute_force_matches_enumeration(n, kind):
+    points = _opt_points(kind, n)
+    dist = pairwise_distances(points)
+    for objective_kind in ("revenue", "ckmm", "dasgupta"):
+        instance = points if objective_kind == "revenue" else dist
+        tree, value = brute_force_opt(instance, objective_kind)
+        _, want = _reference_brute_force_opt(instance, objective_kind)
+        assert close(value, want), (objective_kind, value, want)
+        _assert_opt_is_own_total(instance, objective_kind, tree, value)
+
+
+def test_brute_force_runs_at_its_cap():
+    from hierclust import TwoMeansSolverConfig, bisecting_kmeans
+
+    g = np.random.Generator(np.random.PCG64(43))
+    points = PointSet(g.standard_normal((OPT_MAX_N, 3)))
+    dist = pairwise_distances(points)
+    others = [
+        bisecting_kmeans(points, TwoMeansSolverConfig(kind="exhaustive")),
+        *(random_tree(OPT_MAX_N, RngStream(k)) for k in range(5)),
+    ]
+    tree, value = brute_force_opt(points, "revenue")
+    _assert_opt_is_own_total(points, "revenue", tree, value)
+    assert all(value >= tree_revenue(points, t).total for t in others)
+    tree, value = brute_force_opt(dist, "ckmm")
+    _assert_opt_is_own_total(dist, "ckmm", tree, value)
+    assert all(value >= ckmm_value(dist, t).total for t in others)
+    tree, value = brute_force_opt(dist, "dasgupta")
+    _assert_opt_is_own_total(dist, "dasgupta", tree, value)
+    assert all(value <= dasgupta_cost(dist, t).total for t in others)
+    with pytest.raises(ValueError, match=f"capped at n = {OPT_MAX_N}"):
+        brute_force_opt(PointSet(g.standard_normal((OPT_MAX_N + 1, 3))), "revenue")
+    with pytest.raises(ValueError, match=f"capped at n = {OPT_MAX_N}"):
+        brute_force_opt(pairwise_distances(PointSet(np.zeros((OPT_MAX_N + 1, 1)))), "ckmm")
+
+
+def test_brute_force_tie_rule():
+    # Every tree on four coincident points earns all six pairs, and every
+    # tree scores 0 for ckmm and dasgupta: the first bipartition visited
+    # wins everywhere, which splits off the lowest index alone.
+    points = PointSet(np.zeros((4, 2)))
+    for objective_kind in ("revenue", "ckmm", "dasgupta"):
+        instance = points if objective_kind == "revenue" else pairwise_distances(points)
+        tree, _ = brute_force_opt(instance, objective_kind)
+        assert tree.serialize() == "(0,(1,(2,3)))"
 
 
 # ----------------------------------------------------------------------

@@ -312,3 +312,100 @@ def test_spec_parse_errors():
         UltrametricSpec.parse("(0,1):")
     with pytest.raises(TreeParseError):
         UltrametricSpec.parse("(0,0):1.0")
+
+
+def _reference_build_generating_tree(dist):
+    """`build_generating_tree` before the check ran only on failure: check every triple, then build."""
+    v = dist.values
+    n = dist.n
+    tol = 1e-9 * float(v.max()) if n > 1 else 0.0
+    ok, triple = check_ultrametric(dist, tol)
+    if not ok:
+        raise ValueError(f"input is not an ultrametric: triple {triple} violates the inequality")
+
+    def split(ids):
+        if len(ids) == 1:
+            return int(ids[0])
+        sub = v[np.ix_(ids, ids)]
+        pi, pj = sorted(divmod(int(sub.argmax()), len(ids)))
+        to_right = np.abs(sub[pi] - float(sub[pi, pj])) <= tol
+        to_right[pi] = False
+        return split(ids[~to_right]), split(ids[to_right])
+
+    return HierTree.from_nested(split(np.arange(n)))
+
+
+def _perturbed(values, scale, seed):
+    g = np.random.default_rng(seed)
+    noise = np.triu(g.uniform(-scale, scale, values.shape), 1)
+    return DistanceMatrix(np.abs(values + noise + noise.T))
+
+
+def _generating_inputs():
+    out = {"zeros_5": DistanceMatrix(np.zeros((5, 5)))}
+    for mode in ("strict", "with_ties"):
+        for n in (1, 2, 3, 6, 17, 40):
+            values = generate_random(n, RngStream(n, (7,)), mode).induced_matrix().values
+            out[f"{mode}_{n}"] = DistanceMatrix(values)
+            if n < 3:
+                continue
+            tol = 1e-9 * float(values.max())
+            # Noise well inside, near and beyond the tolerance, then gross.
+            for k, scale in enumerate((0.3 * tol, 0.9 * tol, 3.0 * tol, 1e-3, 0.5)):
+                out[f"{mode}_{n}_noise{k}"] = _perturbed(values, scale, 31 * n + k)
+    for n in (3, 8, 25):
+        points = PointSet(np.random.default_rng(n).standard_normal((n, 2)))
+        out[f"points_{n}"] = pairwise_distances(points)
+    # Every triple passes at tol = 1e-9 * max, but the build puts 0 with 2
+    # (d(1, 0) is within tol of d(1, 2)), and then d(0, 3) falls more than
+    # tol below the root's maximum: the split check fails, the input stands.
+    near = np.array(
+        [
+            [0.0, 1.0, 0.9, 1.0 - 6e-10],
+            [1.0, 0.0, 1.0 + 5e-10, 0.6],
+            [0.9, 1.0 + 5e-10, 0.0, 1.0],
+            [1.0 - 6e-10, 0.6, 1.0, 0.0],
+        ]
+    )
+    out["near_tol_4"] = DistanceMatrix(near)
+    return out
+
+
+GENERATING_INPUTS = _generating_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(GENERATING_INPUTS))
+def test_build_matches_check_first_order(name):
+    dist = GENERATING_INPUTS[name]
+    try:
+        want = _reference_build_generating_tree(dist)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            build_generating_tree(dist)
+        assert str(got.value) == str(exc)
+    else:
+        got = build_generating_tree(dist)
+        assert (got.root, got.nodes) == (want.root, want.nodes)
+
+
+def test_build_checks_every_triple_only_when_the_split_check_fails(monkeypatch):
+    import hierclust.ultrametric as ultrametric
+
+    calls = []
+
+    def counting(dist, tol=0.0):
+        calls.append(dist.n)
+        return check_ultrametric(dist, tol)
+
+    monkeypatch.setattr(ultrametric, "check_ultrametric", counting)
+    spec = generate_random(30, RngStream(5), "with_ties")
+    build_generating_tree(spec.induced_matrix())
+    assert calls == []
+    with pytest.raises(ValueError, match="not an ultrametric"):
+        build_generating_tree(GENERATING_INPUTS["points_8"])
+    assert calls == [8]
+    near = GENERATING_INPUTS["near_tol_4"]
+    tree = build_generating_tree(near)
+    assert calls == [8, 4]
+    assert tree.serialize() == "((0,2),(1,3))"
+    assert not verify_generating_tree(near, tree, 1e-9 * float(near.values.max()))[0]
