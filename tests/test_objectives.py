@@ -476,6 +476,35 @@ def test_brute_force_runs_at_its_cap():
         brute_force_opt(pairwise_distances(PointSet(np.zeros((OPT_MAX_N + 1, 1)))), "ckmm")
 
 
+def test_brute_force_matches_enumeration_on_drawn_points():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    coordinate = st.one_of(
+        st.integers(-2, 2).map(float),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    )
+
+    @st.composite
+    def point_sets(draw):
+        n = draw(st.integers(1, 6))
+        dim = draw(st.integers(1, 3))
+        row = st.lists(coordinate, min_size=dim, max_size=dim)
+        return PointSet(np.array(draw(st.lists(row, min_size=n, max_size=n))))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(point_sets())
+    def check(points):
+        dist = pairwise_distances(points)
+        for objective_kind in ("revenue", "ckmm", "dasgupta"):
+            instance = points if objective_kind == "revenue" else dist
+            _, value = brute_force_opt(instance, objective_kind)
+            _, want = _reference_brute_force_opt(instance, objective_kind)
+            assert close(value, want), (objective_kind, value, want)
+
+    check()
+
+
 def test_brute_force_tie_rule():
     # Every tree on four coincident points earns all six pairs, and every
     # tree scores 0 for ckmm and dasgupta: the first bipartition visited

@@ -1,25 +1,17 @@
-"""Property tests: tree text round trips, and the subset DP against enumeration.
+"""Property tests: tree text and ultrametric spec round trips.
 
 Skipped where hypothesis is not installed. Examples are derandomized and no
-example database is written, so a run repeats exactly.
+example database is written, so a run repeats exactly. The subset DP's
+property test lives beside its oracle in test_objectives.py.
 """
 
 import numpy as np
 import pytest
 
-hypothesis = pytest.importorskip("hypothesis")
+pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from hierclust import (  # noqa: E402
-    HierTree,
-    PointSet,
-    UltrametricSpec,
-    brute_force_opt,
-    close,
-    pairwise_distances,
-    parse,
-)
-from test_objectives import _reference_brute_force_opt  # noqa: E402
+from hierclust import HierTree, UltrametricSpec, parse  # noqa: E402
 
 _SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -69,28 +61,3 @@ def test_ultrametric_spec_round_trips(nested, data):
     assert again.serialize() == text
     assert again.topology == tree
     assert np.array_equal(again.induced_matrix().values, spec.induced_matrix().values)
-
-
-_coordinate = st.one_of(
-    st.integers(-2, 2).map(float),
-    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
-)
-
-
-@st.composite
-def small_point_sets(draw):
-    n = draw(st.integers(1, 6))
-    dim = draw(st.integers(1, 3))
-    rows = draw(st.lists(st.lists(_coordinate, min_size=dim, max_size=dim), min_size=n, max_size=n))
-    return PointSet(np.array(rows, dtype=np.float64))
-
-
-@_SETTINGS
-@given(small_point_sets())
-def test_subset_dp_matches_enumeration(points):
-    dist = pairwise_distances(points)
-    for objective_kind in ("revenue", "ckmm", "dasgupta"):
-        instance = points if objective_kind == "revenue" else dist
-        _, value = brute_force_opt(instance, objective_kind)
-        _, want = _reference_brute_force_opt(instance, objective_kind)
-        assert close(value, want), (objective_kind, value, want)
