@@ -123,6 +123,16 @@ class TriangleDecomposition(NamedTuple):
 # revenue
 
 
+def _centroid(pts: np.ndarray) -> np.ndarray:
+    """Mean of the rows of `pts`, or the first row when every row equals it.
+
+    A side of equal points then sits exactly on its centroid, so its radii
+    are 0 and its pairs take the delta = 0 convention, whatever rounding
+    would make of the mean of several copies of one value.
+    """
+    return pts[0] if (pts == pts[0]).all() else pts.mean(axis=0)
+
+
 def pair_revenue(
     points: PointSet,
     left_set: Iterable[int],
@@ -142,8 +152,8 @@ def pair_revenue(
     if j not in right:
         raise ValueError(f"point {j} is not in the right side")
     coords = points.coords
-    rho_l = coords[np.fromiter(sorted(left), dtype=np.intp)].mean(axis=0)
-    rho_r = coords[np.fromiter(sorted(right), dtype=np.intp)].mean(axis=0)
+    rho_l = _centroid(coords[np.fromiter(sorted(left), dtype=np.intp)])
+    rho_r = _centroid(coords[np.fromiter(sorted(right), dtype=np.intp)])
     di = coords[i] - rho_l
     dj = coords[j] - rho_r
     delta = max(float(np.sqrt((di * di).sum())), float(np.sqrt((dj * dj).sum())))
@@ -160,8 +170,8 @@ def _split_revenue_blocks(
     """Revenue of every (left x right) pair of one split, one row block of `left` at a time."""
     pl = coords[left]
     pr = coords[right]
-    dl = np.sqrt(((pl - pl.mean(axis=0)) ** 2).sum(axis=1))
-    dr = np.sqrt(((pr - pr.mean(axis=0)) ** 2).sum(axis=1))
+    dl = np.sqrt(((pl - _centroid(pl)) ** 2).sum(axis=1))
+    dr = np.sqrt(((pr - _centroid(pr)) ** 2).sum(axis=1))
     for s, cross in _distance_blocks(pl, pr):
         delta = np.maximum(dl[s : s + len(cross), None], dr[None, :])
         safe = np.where(delta == 0.0, 1.0, delta)
@@ -194,7 +204,7 @@ def _pair_revenue_values(coords: np.ndarray, tree: HierTree) -> List[float]:
         split_id[np.ix_(l, r)] = s
         split_id[np.ix_(r, l)] = s
         for side in (np.sort(l), np.sort(r)):
-            q = coords[side] - coords[side].mean(axis=0)
+            q = coords[side] - _centroid(coords[side])
             radius[s, side] = np.sqrt((q * q).sum(axis=1))
     radii = radius.tolist()
     values = [0.0] * len(arrays)
@@ -400,15 +410,16 @@ def _bipartitions(k: int) -> np.ndarray:
 def _subset_radii(coords: np.ndarray) -> np.ndarray:
     """out[S, i]: distance from point i to the centroid of the subset with bitmask S.
 
-    A centroid adds its points one after another in index order. For a
-    subset of equal points (up to eight of them in one coordinate), or one
-    whose sums are exact, such as small integers, that is the centroid
-    `_split_revenue_blocks` computes, so its points sit exactly on it and
-    keep the delta = 0 convention. Elsewhere the two agree to rounding.
+    A subset of equal points takes that point as its centroid, as
+    `_centroid` does, so its radii are exactly 0. Any other centroid adds
+    its points one after another in index order. Where those sums are
+    exact, such as small integers, that is the centroid
+    `_split_revenue_blocks` computes; elsewhere the two agree to rounding.
     Row 0 and the entries of points outside S are never read.
     """
     n, dim = coords.shape
     out = np.zeros((1 << n, n))
+    equal = (coords[:, None, :] == coords[None, :, :]).all(axis=2)
     step = max(1, _SUBSET_ENTRIES // dim)
     for s in range(1, 1 << n, step):
         masks = np.arange(s, min(s + step, 1 << n))
@@ -417,6 +428,9 @@ def _subset_radii(coords: np.ndarray) -> np.ndarray:
         for i in range(n):
             total += np.where(member[:, i, None], coords[i], 0.0)
         mean = total / member.sum(axis=1)[:, None]
+        first = member.argmax(axis=1)
+        same = ~(member & ~equal[first]).any(axis=1)
+        mean[same] = coords[first[same]]
         for i in range(n):
             out[masks, i] = np.sqrt(((coords[i] - mean) ** 2).sum(axis=1))
     return out

@@ -24,7 +24,12 @@ from hierclust import (
     triangle_decompose,
 )
 from hierclust.metricspace import close
-from hierclust.objectives import _lca_weighted_values, _revenue_values, _unit_scaled
+from hierclust.objectives import (
+    _lca_weighted_values,
+    _revenue_values,
+    _subset_radii,
+    _unit_scaled,
+)
 
 
 def line_points():
@@ -63,6 +68,20 @@ def test_pair_revenue_coincident_zero():
     # d = 0 with delta > 0 earns nothing.
     ps = PointSet([[0.0], [0.0], [1.0]])
     assert pair_revenue(ps, {0}, {1, 2}, 0, 1) == 0.0
+
+
+def test_equal_points_sit_on_their_centroid():
+    # The mean of three copies of 0.1 rounds one ulp away from 0.1, at any
+    # power-of-two scale; a side of equal points must still have radius 0,
+    # so every pair of this tree earns 1 by the delta = 0 convention.
+    ps = PointSet(np.full((4, 1), 0.1))
+    tree = HierTree.from_nested((((0, 1), 2), 3))
+    for mode in ("split_sum", "pair_sum"):
+        assert [v for _, v in tree_revenue(ps, tree, mode).per_split] == [3.0, 2.0, 1.0]
+    assert pair_revenue(ps, {0, 1, 2}, {3}, 0, 3) == 1.0
+    assert high_revenue_stats(ps, {0, 1, 2}, {3}).fraction == 1.0
+    radii = _subset_radii(_unit_scaled(ps.coords))
+    assert radii[0b0111, :3].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_pair_revenue_membership_errors():
