@@ -203,12 +203,28 @@ def _distance_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[Tuple[int, np.nda
         yield s, np.sqrt(((a[s : s + step, None, :] - b[None, :, :]) ** 2).sum(axis=2))
 
 
+# Rows of one block of the upper triangle in `pairwise_distances`. The part
+# of a block below the diagonal is computed twice, so short blocks keep the
+# work near n(n-1)/2 pairs.
+_TRIANGLE_ROWS = 64
+
+
 def pairwise_distances(points: PointSet) -> DistanceMatrix:
-    """Full symmetric matrix of Euclidean distances."""
+    """Full symmetric matrix of Euclidean distances.
+
+    Each unordered pair is computed once: the upper triangle in row blocks
+    of `_distance_blocks`, then mirrored. A pair's squared differences are
+    the same floats in either order, so the matrix equals the one a full
+    computation gives, bit for bit.
+    """
+    coords = points.coords
     n = points.n
     out = np.empty((n, n), dtype=np.float64)
-    for s, block in _distance_blocks(points.coords, points.coords):
-        out[s : s + len(block)] = block
+    for s in range(0, n, _TRIANGLE_ROWS):
+        e = min(s + _TRIANGLE_ROWS, n)
+        for r, block in _distance_blocks(coords[s:e], coords[s:]):
+            out[s + r : s + r + len(block), s:] = block
+        out[s:e, :s] = out[:s, s:e].T
     return DistanceMatrix(out)
 
 

@@ -18,6 +18,15 @@ Three objectives are evaluated here:
 
 The per-split view and the per-pair view of each objective are both
 implemented; they must agree, and `tree_revenue` exposes both as modes.
+
+Revenue by splits takes one of two routes per split, chosen by the split's
+own size. A split whose |S1|*|S2|*dim is at most `_SMALL_SPLIT_ENTRIES`
+(8192) is scored with the other small splits of its tree in one batched
+array pass (`_small_split_values`), in batches of at most `_BATCH_ENTRIES`
+(2^20) pair-coordinate entries; the many small splits of a tree then cost a
+few dozen array calls, not a few dozen each. A larger split is scored in row
+blocks of its own (`_split_revenue_blocks`). Both routes give the same
+per-split values, bit for bit.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ from .metricspace import (
     _distance_blocks,
     _unit_scaled,
     close,
+    pairwise_distances,
 )
 
 OBJECTIVE_KINDS = ("revenue", "ckmm", "dasgupta")
@@ -122,6 +132,15 @@ class TriangleDecomposition(NamedTuple):
 # ----------------------------------------------------------------------
 # revenue
 
+# A split whose |S1|*|S2|*dim is at most this many entries is scored with
+# other small splits of its tree in one batched pass; a larger one in row
+# blocks of its own, whose fixed cost per split is then small beside its
+# pair work.
+_SMALL_SPLIT_ENTRIES = 1 << 13
+
+# Pair-coordinate entries of one batch of small splits: 8 MB of float64.
+_BATCH_ENTRIES = 1 << 20
+
 
 def _centroid(pts: np.ndarray) -> np.ndarray:
     """Mean of the rows of `pts`, or the first row when every row equals it.
@@ -178,13 +197,101 @@ def _split_revenue_blocks(
         yield np.where(delta == 0.0, 1.0, np.minimum(cross / safe, 1.0))
 
 
+def _end_to_end(length: np.ndarray):
+    """Lay items of the given lengths end to end, in order of length.
+
+    Returns (order, ordered, head, runs): item order[k] has length
+    ordered[k] and starts at offset head[k]; each (size, lo, hi) of runs
+    says that order[lo:hi] are the items of that size.
+    """
+    order = np.argsort(length, kind="stable")
+    ordered = length[order]
+    head = np.cumsum(ordered) - ordered
+    sizes, firsts = np.unique(ordered, return_index=True)
+    runs = zip(sizes.tolist(), firsts.tolist(), [*firsts[1:].tolist(), len(length)])
+    return order, ordered, head, runs
+
+
+def _small_split_values(
+    coords: np.ndarray, splits: List[Tuple[np.ndarray, np.ndarray]]
+) -> List[float]:
+    """Revenue of each (left, right) split in `splits`, all in one array pass.
+
+    Every value equals the sum of `_split_revenue_blocks` over that split,
+    bit for bit. The sides' points are laid end to end in order of side
+    length, and the centroids of all sides of one length L come from one
+    (count, L, dim) stack, whose `.sum(axis=1) / L` is each side's
+    `mean(axis=0)`. The pairs are laid split-major in order of pair count,
+    each split's pairs row-major as `_split_revenue_blocks` yields them, so
+    the splits with P pairs form one (count, P) stack whose `.sum(axis=1)`
+    is each split's `rev.sum()`, by the same pairwise summation.
+    """
+    b = len(splits)
+    dim = coords.shape[1]
+    sides = [l for l, _ in splits] + [r for _, r in splits]
+    length = np.array([len(x) for x in sides])
+    order, ordered, head, runs = _end_to_end(length)
+    pts = coords[np.concatenate([sides[k] for k in order])]
+    start = np.empty(2 * b, dtype=np.intp)
+    start[order] = head
+    centroid = np.empty((2 * b, dim))
+    for size, lo, hi in runs:
+        stack = pts[head[lo] : head[lo] + (hi - lo) * size].reshape(hi - lo, size, dim)
+        centroid[lo:hi] = stack.sum(axis=1) / size
+    # A side of equal points is its own centroid, as in `_centroid`.
+    same = (pts == np.repeat(pts[head], ordered, axis=0)).all(axis=1)
+    equal = np.logical_and.reduceat(same, head)
+    centroid[equal] = pts[head[equal]]
+    radius = np.sqrt(((pts - np.repeat(centroid, ordered, axis=0)) ** 2).sum(axis=1))
+    width = length[b:]
+    order, ordered, head, runs = _end_to_end(length[:b] * width)
+    split = np.repeat(order, ordered)
+    t = np.arange(len(split)) - np.repeat(head, ordered)
+    i = start[split] + t // width[split]
+    j = start[b + split] + t % width[split]
+    dist = np.sqrt(((pts[i] - pts[j]) ** 2).sum(axis=1))
+    delta = np.maximum(radius[i], radius[j])
+    safe = np.where(delta == 0.0, 1.0, delta)
+    rev = np.where(delta == 0.0, 1.0, np.minimum(dist / safe, 1.0))
+    out = np.empty(b)
+    for count, lo, hi in runs:
+        stack = rev[head[lo] : head[lo] + (hi - lo) * count].reshape(hi - lo, count)
+        out[order[lo:hi]] = stack.sum(axis=1)
+    return out.tolist()
+
+
 def _revenue_values(coords: np.ndarray, tree: HierTree) -> List[float]:
-    out = []
-    for _, l, r in tree.split_arrays():
-        total = 0.0
-        for rev in _split_revenue_blocks(coords, l, r):
-            total += float(rev.sum())
-        out.append(total)
+    """Per-split revenue, root-first.
+
+    A split with |S1|*|S2|*dim at most `_SMALL_SPLIT_ENTRIES` joins a batch
+    for `_small_split_values`; a batch is scored once its pairs would pass
+    `_BATCH_ENTRIES` coordinate entries. Larger splits sum the row blocks
+    of `_split_revenue_blocks`.
+    """
+    dim = coords.shape[1]
+    arrays = tree.split_arrays()
+    out = [0.0] * len(arrays)
+    batch: List[int] = []
+    used = 0
+
+    def score_batch() -> None:
+        values = _small_split_values(coords, [arrays[k][1:] for k in batch])
+        for k, v in zip(batch, values):
+            out[k] = v
+
+    for k, (_, l, r) in enumerate(arrays):
+        entries = len(l) * len(r) * dim
+        if entries > _SMALL_SPLIT_ENTRIES:
+            for rev in _split_revenue_blocks(coords, l, r):
+                out[k] += float(rev.sum())
+            continue
+        if used + entries > _BATCH_ENTRIES:
+            score_batch()
+            batch, used = [], 0
+        batch.append(k)
+        used += entries
+    if batch:
+        score_batch()
     return out
 
 
@@ -235,11 +342,20 @@ def revenue_upper_bound(n: int) -> float:
 def tree_revenue(points: PointSet, tree: HierTree, mode: str = "split_sum") -> ObjectiveReport:
     """Total revenue of a tree, by splits or by pairs.
 
-    ``split_sum`` walks the splits and sums each split's pair revenues in
-    vectorized row blocks. ``pair_sum`` walks all n(n-1)/2 pairs, finds the
-    split separating each pair, and adds what `pair_revenue` would return for
-    it, bit for bit, from centroids computed once per split. The two routes
-    evaluate the same function and must agree to float accumulation error.
+    ``split_sum`` scores each split's pairs as arrays. Splits with
+    |S1|*|S2|*dim at most 8192 entries are scored together, in batches of
+    at most 2^20 pair-coordinate entries: the sides of all of them laid end
+    to end, one centroid pass per distinct side length, one distance and
+    revenue pass over all their pairs laid split-major and row-major, and one
+    sum per distinct pair count. Each larger split is scored alone in row
+    blocks. The two layouts give every split the same value, bit for bit.
+    ``pair_sum`` walks all n(n-1)/2 pairs, finds the split separating each
+    pair, and adds what `pair_revenue` would return for it, bit for bit,
+    from centroids computed once per split. The two modes evaluate the same
+    function and must agree to float accumulation error.
+
+    A side whose points are all equal has that point as its centroid, so its
+    radii are exactly 0 and its pairs take the delta = 0 convention.
     """
     _check_tree_points(points, tree)
     if mode not in ("split_sum", "pair_sum"):
@@ -474,9 +590,7 @@ def brute_force_opt(
     if isinstance(instance, PointSet):
         coords = _unit_scaled(instance.coords)
         radii = _subset_radii(coords)
-        dist = np.empty((n, n))
-        for s, block in _distance_blocks(coords, coords):
-            dist[s : s + len(block)] = block
+        dist = pairwise_distances(PointSet(coords)).values
 
         def split_values(ids, left, left_mask, right_mask):
             # The arithmetic of `_split_revenue_blocks`, for every bipartition at once.

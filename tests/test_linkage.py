@@ -121,6 +121,36 @@ def test_linkage_matches_full_rescan(name, mode, build):
     assert got.nodes == want.nodes
 
 
+def test_linkage_matches_full_rescan_on_drawn_tie_heavy_matrices():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @st.composite
+    def matrices(draw):
+        n = draw(st.integers(1, 24))
+        if draw(st.booleans()):
+            # Distances between small-integer points, rounded to one decimal.
+            dim = draw(st.integers(1, 3))
+            row = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+            coords = draw(st.lists(row, min_size=n, max_size=n))
+            return DistanceMatrix(np.round(_dist(coords).values, 1))
+        # Off-diagonal entries from a few levels, zero included.
+        levels = draw(st.integers(1, 3))
+        values = draw(st.lists(st.integers(0, levels), min_size=n * n, max_size=n * n))
+        upper = np.triu(np.array(values, dtype=np.float64).reshape(n, n), 1)
+        return DistanceMatrix(upper + upper.T)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(matrices())
+    def check(dist):
+        for mode, build in BUILDERS:
+            got = build(dist)
+            want = _reference_agglomerate(dist, mode)
+            assert (got.root, got.nodes) == (want.root, want.nodes), mode
+
+    check()
+
+
 def test_average_linkage_survives_overflowing_cluster_sums():
     # Average linkage sums cross distances; at this scale the sums overflow
     # to inf, and the builder must still merge only live clusters. The

@@ -11,7 +11,7 @@ from hierclust import (
     kmeans_cost,
     pairwise_distances,
 )
-from hierclust.metricspace import close
+from hierclust.metricspace import _distance_blocks, close
 
 
 def line_points():
@@ -156,6 +156,29 @@ def test_pairwise_output_is_valid_matrix():
         dm = pairwise_distances(PointSet(g.standard_normal((n, 3)) * 10))
         # DistanceMatrix construction already enforced symmetry etc.
         assert dm.n == n
+
+
+def _full_distances(coords):
+    """Every ordered pair from `_distance_blocks`, as the matrix was computed before mirroring."""
+    out = np.empty((len(coords), len(coords)))
+    for s, block in _distance_blocks(coords, coords):
+        out[s : s + len(block)] = block
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 7, 8, 33, 129])
+@pytest.mark.parametrize("n", [1, 2, 57, 130, 300])
+def test_pairwise_triangle_equals_full_computation(n, dim):
+    g = np.random.Generator(np.random.PCG64(1000 * n + dim))
+    cases = [
+        g.standard_normal((n, dim)),
+        g.standard_normal((3, dim))[np.arange(n) % 3],  # coincident points
+        np.full((n, dim), 0.1),
+        g.standard_normal((n, dim)) * 1e150,
+    ]
+    for coords in cases:
+        got = pairwise_distances(PointSet(coords)).values
+        assert np.array_equal(got, _full_distances(PointSet(coords).coords))
 
 
 def test_euclidean_distances_are_metric():

@@ -23,7 +23,8 @@ from hierclust import (
     tree_revenue,
     triangle_decompose,
 )
-from hierclust.metricspace import close
+from hierclust import objectives
+from hierclust.metricspace import _distance_blocks, close
 from hierclust.objectives import (
     _lca_weighted_values,
     _revenue_values,
@@ -173,6 +174,123 @@ def test_pair_sum_splits_equal_pair_revenue_calls():
         got = [v for _, v in tree_revenue(ps, tree, "pair_sum").per_split]
         want = _pair_revenue_calls(ps, tree)
         assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
+
+
+def _reference_revenue_values(coords, tree):
+    """Per-split revenue one split at a time, in row blocks: the split_sum loop the batched pass replaces."""
+    out = []
+    for _, l, r in tree.split_arrays():
+        pl, pr = coords[l], coords[r]
+        cl = pl[0] if (pl == pl[0]).all() else pl.mean(axis=0)
+        cr = pr[0] if (pr == pr[0]).all() else pr.mean(axis=0)
+        dl = np.sqrt(((pl - cl) ** 2).sum(axis=1))
+        dr = np.sqrt(((pr - cr) ** 2).sum(axis=1))
+        total = 0.0
+        for s, cross in _distance_blocks(pl, pr):
+            delta = np.maximum(dl[s : s + len(cross), None], dr[None, :])
+            safe = np.where(delta == 0.0, 1.0, delta)
+            rev = np.where(delta == 0.0, 1.0, np.minimum(cross / safe, 1.0))
+            total += float(rev.sum())
+        out.append(total)
+    return out
+
+
+def _assert_revenue_matches_reference(points, tree):
+    got = [v for _, v in tree_revenue(points, tree).per_split]
+    want = _reference_revenue_values(_unit_scaled(points.coords), tree)
+    assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
+
+
+def _revenue_points(kind, n, dim, g):
+    if kind == "gaussian":
+        return PointSet(g.standard_normal((n, dim)))
+    if kind == "coincident":  # three locations, drawn with repeats
+        return PointSet(g.standard_normal((3, dim))[g.integers(0, 3, size=n)])
+    return PointSet(np.full((n, dim), 0.1))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "coincident", "tenths"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 9, 33])
+def test_split_sum_matches_reference_on_random_trees(dim, kind):
+    g = np.random.Generator(np.random.PCG64(100 * dim + len(kind)))
+    for n in (1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 17, 20, 31, 64, 100, 129, 156):
+        points = _revenue_points(kind, n, dim, g)
+        _assert_revenue_matches_reference(points, random_tree(n, RngStream(n, (dim,))))
+
+
+@pytest.mark.parametrize("n,dim", [(1000, 8), (2000, 32)])
+def test_split_sum_matches_reference_on_bisecting_trees(n, dim):
+    # At 2000 x 32 the top splits pass the 4e6-entry row-block cap, so they
+    # take several blocks, while the lower splits take the batched pass.
+    from hierclust import TwoMeansSolverConfig, bisecting_kmeans
+
+    g = np.random.Generator(np.random.PCG64(n + dim))
+    points = PointSet(g.standard_normal((n, dim)) + 6.0 * g.integers(0, 4, size=(n, 1)))
+    tree = bisecting_kmeans(points, TwoMeansSolverConfig(kind="lloyd", seed=n))
+    assert any(len(l) * len(r) * dim > 4e6 for _, l, r in tree.split_arrays()) == (n == 2000)
+    _assert_revenue_matches_reference(points, tree)
+
+
+@pytest.mark.parametrize("mode", ["strict", "with_ties"])
+def test_split_sum_matches_reference_on_generating_trees(mode):
+    from hierclust import build_generating_tree, embed_euclidean, generate_random
+
+    for n in (2, 9, 40, 128):
+        spec = generate_random(n, RngStream(n), mode)
+        tree = build_generating_tree(spec.induced_matrix())
+        _assert_revenue_matches_reference(embed_euclidean(spec), tree)
+
+
+def test_split_sum_matches_reference_on_random_bad_instances():
+    from hierclust import RandomBadInstanceSpec, build_random_bad_instance, clean_reference_tree
+
+    for k in (2, 4, 8, 12):
+        spec = RandomBadInstanceSpec(k)
+        points = build_random_bad_instance(spec)
+        _assert_revenue_matches_reference(points, clean_reference_tree(spec))
+        for t in range(5):
+            _assert_revenue_matches_reference(points, random_tree(points.n, RngStream(k, (t,))))
+
+
+@pytest.mark.parametrize("small,batch", [(0, 1), (1, 1), (12, 40), (1 << 30, 1 << 30)])
+def test_split_sum_is_the_same_on_either_side_of_the_budgets(monkeypatch, small, batch):
+    # Every split on the row-block route, only one-pair splits batched, many
+    # batches of a few splits, and every split in one batch.
+    monkeypatch.setattr(objectives, "_SMALL_SPLIT_ENTRIES", small)
+    monkeypatch.setattr(objectives, "_BATCH_ENTRIES", batch)
+    g = np.random.Generator(np.random.PCG64(small + batch))
+    for n, dim in ((1, 1), (2, 3), (30, 2), (90, 1), (64, 9)):
+        for kind in ("gaussian", "coincident", "tenths"):
+            points = _revenue_points(kind, n, dim, g)
+            _assert_revenue_matches_reference(points, random_tree(n, RngStream(n, (dim, 1))))
+
+
+def test_split_sum_matches_reference_on_drawn_points():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    coordinate = st.one_of(
+        st.integers(-2, 2).map(float),
+        st.sampled_from([0.1, 0.3, -0.7]),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    )
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(1, 40))
+        dim = draw(st.integers(1, 4))
+        row = st.lists(coordinate, min_size=dim, max_size=dim)
+        rows = draw(st.lists(row, min_size=1, max_size=n))
+        picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=n, max_size=n))
+        points = PointSet(np.array(rows)[picks])
+        return points, random_tree(n, RngStream(draw(st.integers(0, 2**32 - 1))))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(cases())
+    def check(case):
+        _assert_revenue_matches_reference(*case)
+
+    check()
 
 
 def test_tree_revenue_bounds_random():
