@@ -271,14 +271,8 @@ def _revenue_values(coords: np.ndarray, tree: HierTree) -> List[float]:
     dim = coords.shape[1]
     arrays = tree.split_arrays()
     out = [0.0] * len(arrays)
-    batch: List[int] = []
+    batches: List[List[int]] = [[]]
     used = 0
-
-    def score_batch() -> None:
-        values = _small_split_values(coords, [arrays[k][1:] for k in batch])
-        for k, v in zip(batch, values):
-            out[k] = v
-
     for k, (_, l, r) in enumerate(arrays):
         entries = len(l) * len(r) * dim
         if entries > _SMALL_SPLIT_ENTRIES:
@@ -286,12 +280,13 @@ def _revenue_values(coords: np.ndarray, tree: HierTree) -> List[float]:
                 out[k] += float(rev.sum())
             continue
         if used + entries > _BATCH_ENTRIES:
-            score_batch()
-            batch, used = [], 0
-        batch.append(k)
+            batches.append([])
+            used = 0
+        batches[-1].append(k)
         used += entries
-    if batch:
-        score_batch()
+    for batch in filter(None, batches):
+        for k, v in zip(batch, _small_split_values(coords, [arrays[k][1:] for k in batch])):
+            out[k] = v
     return out
 
 
