@@ -146,8 +146,8 @@ def _centroid(pts: np.ndarray) -> np.ndarray:
     """Mean of the rows of `pts`, or the first row when every row equals it.
 
     A side of equal points then sits exactly on its centroid, so its radii
-    are 0 and its pairs take the delta = 0 convention, whatever rounding
-    would make of the mean of several copies of one value.
+    are exactly 0, whatever rounding would make of the mean of several
+    copies of one value.
     """
     return pts[0] if (pts == pts[0]).all() else pts.mean(axis=0)
 
@@ -350,7 +350,7 @@ def tree_revenue(points: PointSet, tree: HierTree, mode: str = "split_sum") -> O
     function and must agree to float accumulation error.
 
     A side whose points are all equal has that point as its centroid, so its
-    radii are exactly 0 and its pairs take the delta = 0 convention.
+    radii are exactly 0; a pair between two such sides earns 1.
     """
     _check_tree_points(points, tree)
     if mode not in ("split_sum", "pair_sum"):
