@@ -32,11 +32,12 @@ from typing import Callable, Iterator, List, Tuple, Union
 
 import numpy as np
 
-from .hiertree import HierTree, Split, _divide
+from .hiertree import HierTree, Split, _bipartitions, _divide
 from .metricspace import (
     DistanceMatrix,
     PointSet,
     _distance_blocks,
+    _index_array,
     _one_means_cost,
     _unit_exponent,
     _unit_scaled,
@@ -108,16 +109,18 @@ class TwoMeansSolverConfig:
 # 2-means
 
 
-def _ordered_split(ids_a: np.ndarray, ids_b: np.ndarray) -> Tuple[Split, np.ndarray, np.ndarray]:
-    """Orient sides so the one holding the smallest index comes first."""
-    if min(ids_a.min(), ids_b.min()) in set(ids_a.tolist()):
-        first, second = ids_a, ids_b
-    else:
-        first, second = ids_b, ids_a
-    return Split(frozenset(first.tolist()), frozenset(second.tolist())), first, second
+# A 2-means solver returns (first side, second side, cost): two ascending
+# index arrays, the one holding the smallest index first, when its `ids`
+# are ascending.
+Sides = Tuple[np.ndarray, np.ndarray, float]
 
 
-def _exhaustive_two_means(coords: np.ndarray, ids: np.ndarray) -> Tuple[Split, float]:
+def _ordered_split(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Orient two disjoint sides so the one holding the smallest index comes first."""
+    return (a, b) if a.min() < b.min() else (b, a)
+
+
+def _exhaustive_two_means(coords: np.ndarray, ids: np.ndarray) -> Sides:
     m = len(ids)
     pts = coords[ids]
     # Center the subset first: the sum-of-squares shortcut below would lose
@@ -128,14 +131,11 @@ def _exhaustive_two_means(coords: np.ndarray, ids: np.ndarray) -> Tuple[Split, f
     col_total = q.sum(axis=0)
 
     n_masks = (1 << (m - 1)) - 1
-    shifts = np.arange(m - 1, dtype=np.int64)
     best_cost = np.inf
     best_side: Tuple[int, ...] = ()
     chunk = 1 << 15
     for start in range(0, n_masks, chunk):
-        masks = np.arange(start, min(start + chunk, n_masks), dtype=np.int64)
-        bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(bool)
-        member = np.concatenate([np.ones((len(masks), 1), dtype=bool), bits], axis=1)
+        member = _bipartitions(m, start, min(start + chunk, n_masks))
         cnt1 = member.sum(axis=1)
         cnt2 = m - cnt1
         memf = member.astype(np.float64)
@@ -159,8 +159,7 @@ def _exhaustive_two_means(coords: np.ndarray, ids: np.ndarray) -> Tuple[Split, f
     side1 = np.array(best_side, dtype=np.intp)
     side2 = np.setdiff1d(ids, side1)
     cost = _one_means_cost(coords, side1) + _one_means_cost(coords, side2)
-    split, _, _ = _ordered_split(side1, side2)
-    return split, float(cost)
+    return side1, side2, float(cost)
 
 
 # Entries of one difference or masked-sum temporary in the batched Lloyd
@@ -265,7 +264,7 @@ def _move_test(pts: np.ndarray, tol: float) -> Callable[[np.ndarray], np.ndarray
 
 def _lloyd_two_means(
     coords: np.ndarray, ids: np.ndarray, config: TwoMeansSolverConfig, rng: RngStream
-) -> Tuple[Split, float]:
+) -> Sides:
     """Best of `lloyd_restarts` k-means++ seeded Lloyd runs, run as one batch.
 
     Restart r seeds from `rng.substream(r)` and leaves the batch when its
@@ -277,8 +276,7 @@ def _lloyd_two_means(
     pts = coords[ids]
     m = len(pts)
     if m == 2:
-        split, _, _ = _ordered_split(ids[:1], ids[1:])
-        return split, 0.0
+        return ids[:1], ids[1:], 0.0
     runs = config.lloyd_restarts
     gens = [rng.substream(r).generator() for r in range(runs)]
     first = np.array([g.integers(m) for g in gens], dtype=np.intp)
@@ -327,13 +325,12 @@ def _lloyd_two_means(
         if costs[key] < best_cost:
             best_cost, best_assign = costs[key], row
     assert best_assign is not None
-    split, _, _ = _ordered_split(ids[best_assign == 0], ids[best_assign == 1])
-    return split, float(best_cost)
+    return (*_ordered_split(ids[best_assign == 0], ids[best_assign == 1]), float(best_cost))
 
 
 def _solve_two_means(
     coords: np.ndarray, ids: np.ndarray, config: TwoMeansSolverConfig, rng: RngStream
-) -> Tuple[Split, float]:
+) -> Sides:
     if len(ids) < 2:
         raise ValueError("2-means needs at least two points")
     if config.kind == "exhaustive":
@@ -357,13 +354,12 @@ def two_means(
     Both solve on coordinates scaled by an exact power of two, as
     `bisecting_kmeans` does, and report the cost in the original units.
     """
-    ids = np.array(sorted(int(i) for i in indexset), dtype=np.intp)
-    if len(np.unique(ids)) != len(ids):
-        raise ValueError("index set contains duplicates")
-    if ids.size and (ids[0] < 0 or ids[-1] >= points.n):
-        raise IndexError("index out of range")
+    ids = _index_array(indexset, points.n)
     exponent = _unit_exponent(points.coords)
-    split, cost = _solve_two_means(_unit_scaled(points.coords), ids, config, RngStream(config.seed))
+    first, second, cost = _solve_two_means(
+        _unit_scaled(points.coords), ids, config, RngStream(config.seed)
+    )
+    split = Split(frozenset(first.tolist()), frozenset(second.tolist()))
     try:
         return split, math.ldexp(cost, 2 * exponent)
     except OverflowError:  # a cost past the float range
@@ -402,9 +398,7 @@ def bisecting_kmeans(points: PointSet, config: TwoMeansSolverConfig) -> HierTree
     def expand(ids: np.ndarray, nid: int):
         if len(ids) == 1:
             return int(ids[0])
-        split, _ = _solve_two_means(coords, ids, config, base.substream(next(visits)))
-        left = np.array(sorted(split.left_set), dtype=np.intp)
-        right = np.array(sorted(split.right_set), dtype=np.intp)
+        left, right, _ = _solve_two_means(coords, ids, config, base.substream(next(visits)))
         return left, right
 
     return HierTree(_divide(np.arange(points.n, dtype=np.intp), expand), 0)

@@ -505,8 +505,9 @@ def _load_points(args: argparse.Namespace) -> PointSet:
     return result.points
 
 
-def _add_points_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--points", required=True, help="points CSV, one point per row")
+def _add_points_arguments(p: argparse.ArgumentParser, required: bool) -> None:
+    what = "points CSV, one point per row" if required else "points CSV (else use --synth-*)"
+    p.add_argument("--points", required=required, help=what)
     p.add_argument("--columns", default=None, help="comma-separated column indices to use")
     p.add_argument("--skip-header", action="store_true", help="skip the first row")
     p.add_argument("--delimiter", default=",")
@@ -535,7 +536,7 @@ def _build_cli() -> _Parser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("cluster", help="build a tree from a points CSV")
-    _add_points_arguments(p)
+    _add_points_arguments(p, required=True)
     p.add_argument("--algo", choices=ALGORITHMS, required=True)
     p.add_argument("--solver", choices=("exhaustive", "lloyd"), default="lloyd")
     p.add_argument("--seed", type=int, default=0)
@@ -543,7 +544,7 @@ def _build_cli() -> _Parser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("eval", help="evaluate an objective for a tree over points")
-    _add_points_arguments(p)
+    _add_points_arguments(p, required=True)
     p.add_argument("--objective", choices=OBJECTIVES, required=True)
     p.add_argument("--tree-file", required=True)
     p.add_argument("--out", default=None)
@@ -551,7 +552,7 @@ def _build_cli() -> _Parser:
     p = sub.add_parser(
         "enumerate-opt", help=f"exact optimum over all trees (n <= {OPT_MAX_N})"
     )
-    _add_points_arguments(p)
+    _add_points_arguments(p, required=True)
     p.add_argument("--objective", choices=OBJECTIVES, required=True)
     p.add_argument("--out", default=None)
 
@@ -559,10 +560,7 @@ def _build_cli() -> _Parser:
     esub = p.add_subparsers(dest="experiment", required=True)
 
     t = esub.add_parser("table1", help="algorithms x objectives summary table")
-    t.add_argument("--points", default=None, help="points CSV (else use --synth-*)")
-    t.add_argument("--columns", default=None)
-    t.add_argument("--skip-header", action="store_true")
-    t.add_argument("--delimiter", default=",")
+    _add_points_arguments(t, required=False)
     t.add_argument("--synth-k", type=int, default=None)
     t.add_argument("--synth-n", type=int, default=None)
     t.add_argument("--synth-dim", type=int, default=None)
@@ -599,13 +597,16 @@ def _cmd_gen_ultrametric(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_embed(args: argparse.Namespace) -> int:
+def _read_text(path: str) -> str:
     try:
-        with open(args.spec) as fh:
-            text = fh.read().strip()
+        with open(path) as fh:
+            return fh.read().strip()
     except OSError as exc:
-        raise DataError(f"cannot read {args.spec}: {exc}") from exc
-    spec = UltrametricSpec.parse(text)
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _cmd_embed(args: argparse.Namespace) -> int:
+    spec = UltrametricSpec.parse(_read_text(args.spec))
     _check_size(spec.n, 2 * (spec.n - 1), "embedding")
     _write_or_print(_points_csv_text(embed_euclidean(spec)), args.out)
     return 0
@@ -620,18 +621,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_tree(path: str) -> HierTree:
-    try:
-        with open(path) as fh:
-            text = fh.read().strip()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    return parse(text)
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
     points = _load_points(args)
-    tree = _read_tree(args.tree_file)
+    tree = parse(_read_text(args.tree_file))
     dist = None if args.objective == "revenue" else _distances(points)
     _write_or_print(_objective_report(args.objective, points, dist, tree).to_csv(), args.out)
     return 0

@@ -84,7 +84,6 @@ class HierTree:
         "_post_order",
         "_leaf_node",
         "_leaf_arrays",
-        "_splits",
         "_split_arrays",
     )
 
@@ -103,7 +102,6 @@ class HierTree:
         self.root = int(root)
         self._validate()
         self._leaf_arrays = None
-        self._splits = None
         self._split_arrays = None
 
     def _validate(self) -> None:
@@ -250,13 +248,26 @@ class HierTree:
         return self._split_arrays
 
     def splits(self) -> List[Split]:
-        """All n-1 bipartitions, root-first; empty for a single leaf."""
-        if self._splits is None:
-            self._splits = [
-                Split(frozenset(l.tolist()), frozenset(r.tolist()))
-                for _, l, r in self.split_arrays()
-            ]
-        return list(self._splits)
+        """All n-1 bipartitions, root-first; empty for a single leaf.
+
+        Built afresh on each call from `split_arrays`, which every kernel reads.
+        """
+        return [
+            Split(frozenset(l.tolist()), frozenset(r.tolist())) for _, l, r in self.split_arrays()
+        ]
+
+    def _split_index(self) -> np.ndarray:
+        """out[i, j]: root-first index of the split separating leaves i and j; -1 if i == j.
+
+        A per-split array with one more entry at its end gathers through this
+        index into a per-pair matrix whose diagonal takes that last entry.
+        """
+        n = self.n_leaves
+        out = np.full((n, n), -1, dtype=np.intp)
+        for s, (_, l, r) in enumerate(self.split_arrays()):
+            out[np.ix_(l, r)] = s
+            out[np.ix_(r, l)] = s
+        return out
 
     def lca_leaf_count(self, i: int, j: int) -> int:
         """Number of leaves under the least common ancestor of leaves i and j."""
@@ -320,6 +331,18 @@ def _divide(root: object, expand: Callable[[object, int], object]) -> List[NodeS
         else:
             nodes[nid] = out  # type: ignore[assignment]
     return nodes  # type: ignore[return-value]
+
+
+def _bipartitions(k: int, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, k) bool rows: the S1 side of bipartitions lo..hi-1 of k items.
+
+    Item 0 is always in S1; row t puts item c >= 1 in S1 when bit c - 1 of
+    t is set. The 2^(k-1) - 1 bipartitions of k items are t < 2^(k-1) - 1;
+    all ones would leave S2 empty.
+    """
+    t = np.arange(lo, hi, dtype=np.int64)
+    rest = (t[:, None] >> np.arange(k - 1)) & 1
+    return np.concatenate((np.ones((len(t), 1), dtype=bool), rest.astype(bool)), axis=1)
 
 
 def _nested_children(spec: Nested, nid: int) -> Union[int, Tuple[Nested, Nested]]:

@@ -228,6 +228,26 @@ def pairwise_distances(points: PointSet) -> DistanceMatrix:
     return DistanceMatrix(out)
 
 
+def _first_violation(
+    v: np.ndarray, combine: np.ufunc, tol: float
+) -> Optional[tuple[int, int, int]]:
+    """First triple in (x, y, z) order that breaks an inequality on symmetric `v`.
+
+    (x, y, z) breaks it when x < y, z is neither of them, and
+    v[x, y] > combine(v[x, z], v[y, z]) + tol. None when no triple does.
+    One (y, z) plane per x, so the scan stops at the first x with a violation.
+    """
+    for x in range(len(v)):
+        bad = v[x, :, None] > combine(v[x], v) + tol  # bad[y, z]
+        bad[: x + 1] = False
+        bad[:, x] = False
+        np.fill_diagonal(bad, False)
+        if bad.any():
+            y, z = np.argwhere(bad)[0].tolist()
+            return x, y, z
+    return None
+
+
 def check_metric(
     matrix: DistanceMatrix, tol: float = REL_TOL
 ) -> tuple[bool, Optional[tuple[int, int, int]]]:
@@ -236,17 +256,12 @@ def check_metric(
     Returns (True, None) when d(i,k) <= d(i,j) + d(j,k) + tol holds for all
     triples, else (False, (i, j, k)) for the lexicographically first
     violation, ordered by (i, k, j).
+
+    The matrix is symmetric and float addition commutes, so (k, i, j)
+    violates whenever (i, k, j) does, and the first violation has i < k.
     """
-    v = matrix.values
-    n = matrix.n
-    witnesses = []
-    for j in range(n):
-        bound = np.add.outer(v[:, j], v[j, :]) + tol
-        bad = np.argwhere(v > bound)
-        for i, k in bad:
-            if i != j and k != j and i != k:
-                witnesses.append((int(i), int(k), int(j)))
-    if not witnesses:
+    found = _first_violation(matrix.values, np.add, tol)
+    if found is None:
         return True, None
-    i, k, j = min(witnesses)
+    i, k, j = found
     return False, (i, j, k)

@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Tuple, Union
 
 import numpy as np
 
-from .hiertree import HierTree, Split, _divide
+from .hiertree import HierTree, Split, _bipartitions, _divide
 from .metricspace import (
     ABS_TOL,
     REL_TOL,
@@ -46,7 +46,6 @@ from .metricspace import (
     PointSet,
     _distance_blocks,
     _unit_scaled,
-    close,
     pairwise_distances,
 )
 
@@ -60,36 +59,48 @@ HIGH_REVENUE_MIN = 0.1
 
 @dataclass(frozen=True)
 class ObjectiveReport:
-    """Total objective value with its per-split breakdown and bound.
+    """A tree's per-split objective values, root-first, with their bound.
 
-    For revenue and ckmm `upper_bound` bounds the total from above; for
-    dasgupta the field carries the trivial lower bound instead (twice the
-    sum of pairwise weights).
+    `values[k]` belongs to the k-th split of `tree.split_arrays()`. The
+    total and the per-split view are derived from the two, so they always
+    agree. For revenue and ckmm `upper_bound` bounds the total from above;
+    for dasgupta the field carries the trivial lower bound instead (twice
+    the sum of pairwise weights).
     """
 
     objective_kind: str
-    total: float
-    per_split: Tuple[Tuple[Split, float], ...]
+    tree: HierTree
+    values: Tuple[float, ...]
     upper_bound: float
 
     def __post_init__(self) -> None:
         if self.objective_kind not in OBJECTIVE_KINDS:
             raise ValueError(f"unknown objective kind {self.objective_kind!r}")
-        object.__setattr__(self, "per_split", tuple(self.per_split))
-        total = float(self.total)
-        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         object.__setattr__(self, "upper_bound", float(self.upper_bound))
-        s = math.fsum(v for _, v in self.per_split)
-        if not close(total, s):
-            raise ValueError("total must equal the sum of per-split values")
+        if len(self.values) != self.tree.n_leaves - 1:
+            raise ValueError(
+                f"a tree with {self.tree.n_leaves} leaves needs {self.tree.n_leaves - 1}"
+                f" per-split values, got {len(self.values)}"
+            )
         if self.objective_kind == "revenue":
+            total = self.total
             slack = max(ABS_TOL, REL_TOL * max(1.0, abs(total)))
-            for sp, v in self.per_split:
-                cap = len(sp.left_set) * len(sp.right_set)
-                if v < -slack or v > cap + slack:
+            for (_, l, r), v in zip(self.tree.split_arrays(), self.values):
+                if v < -slack or v > len(l) * len(r) + slack:
                     raise ValueError("per-split revenue must lie in [0, |S1||S2|]")
             if total > self.upper_bound + slack:
                 raise ValueError("revenue total exceeds the n(n-1)/2 bound")
+
+    @property
+    def total(self) -> float:
+        """`math.fsum` of `values`."""
+        return math.fsum(self.values)
+
+    @property
+    def per_split(self) -> Tuple[Tuple[Split, float], ...]:
+        """(split, value) pairs, root-first; builds the tree's `Split` objects."""
+        return tuple(zip(self.tree.splits(), self.values))
 
     def to_csv(self) -> str:
         """One row per split (parent/left/right sizes, value) plus a totals row.
@@ -98,9 +109,8 @@ class ObjectiveReport:
         says which objective it holds.
         """
         lines = [f"parent_size,left_size,right_size,{self.objective_kind}"]
-        for sp, v in self.per_split:
-            l, r = len(sp.left_set), len(sp.right_set)
-            lines.append(f"{l + r},{l},{r},{v!r}")
+        for (_, l, r), v in zip(self.tree.split_arrays(), self.values):
+            lines.append(f"{len(l) + len(r)},{len(l)},{len(r)},{v!r}")
         lines.append(f"total,,,{self.total!r}")
         return "\n".join(lines) + "\n"
 
@@ -160,12 +170,8 @@ def pair_revenue(
     j: int,
 ) -> float:
     """Revenue earned by the pair (i, j) split across (left_set, right_set)."""
-    left = frozenset(int(x) for x in left_set)
-    right = frozenset(int(x) for x in right_set)
-    if not left or not right:
-        raise ValueError("both sides must be nonempty")
-    if left & right:
-        raise ValueError("sides must be disjoint")
+    split = Split(left_set, right_set)
+    left, right = split.left_set, split.right_set
     if i not in left:
         raise ValueError(f"point {i} is not in the left side")
     if j not in right:
@@ -300,17 +306,14 @@ def _pair_revenue_values(coords: np.ndarray, tree: HierTree) -> List[float]:
     """
     arrays = tree.split_arrays()
     n = len(coords)
-    split_id = np.full((n, n), -1, dtype=np.intp)
     radius = np.zeros((len(arrays), n))
     for s, (_, l, r) in enumerate(arrays):
-        split_id[np.ix_(l, r)] = s
-        split_id[np.ix_(r, l)] = s
         for side in (np.sort(l), np.sort(r)):
             q = coords[side] - _centroid(coords[side])
             radius[s, side] = np.sqrt((q * q).sum(axis=1))
     radii = radius.tolist()
     values = [0.0] * len(arrays)
-    for i, row in enumerate(split_id.tolist()):
+    for i, row in enumerate(tree._split_index().tolist()):
         diff = coords[i] - coords[i + 1 :]
         dist = np.sqrt((diff * diff).sum(axis=1)).tolist()
         for j in range(i + 1, n):
@@ -351,6 +354,9 @@ def tree_revenue(points: PointSet, tree: HierTree, mode: str = "split_sum") -> O
 
     A side whose points are all equal has that point as its centroid, so its
     radii are exactly 0; a pair between two such sides earns 1.
+
+    The report holds the tree and its per-split values, root-first; it
+    builds no `Split` until its `per_split` is read.
     """
     _check_tree_points(points, tree)
     if mode not in ("split_sum", "pair_sum"):
@@ -360,13 +366,7 @@ def tree_revenue(points: PointSet, tree: HierTree, mode: str = "split_sum") -> O
         values = _revenue_values(coords, tree)
     else:
         values = _pair_revenue_values(coords, tree)
-    per_split = tuple(zip(tree.splits(), values))
-    return ObjectiveReport(
-        objective_kind="revenue",
-        total=math.fsum(values),
-        per_split=per_split,
-        upper_bound=revenue_upper_bound(points.n),
-    )
+    return ObjectiveReport("revenue", tree, values, revenue_upper_bound(points.n))
 
 
 def high_revenue_stats(
@@ -379,12 +379,8 @@ def high_revenue_stats(
     are re-oriented internally so A is always the larger (ties keep the
     caller's left side as A).
     """
-    left = sorted(int(x) for x in left_set)
-    right = sorted(int(x) for x in right_set)
-    if not left or not right:
-        raise ValueError("both sides must be nonempty")
-    if set(left) & set(right):
-        raise ValueError("sides must be disjoint")
+    split = Split(left_set, right_set)
+    left, right = sorted(split.left_set), sorted(split.right_set)
     if len(left) >= len(right):
         a, b = left, right
     else:
@@ -429,13 +425,7 @@ def ckmm_value(dist: DistanceMatrix, tree: HierTree) -> ObjectiveReport:
     """
     _check_tree_matrix(dist, tree)
     values = _lca_weighted_values(dist.values, tree)
-    n = dist.n
-    return ObjectiveReport(
-        objective_kind="ckmm",
-        total=math.fsum(values),
-        per_split=tuple(zip(tree.splits(), values)),
-        upper_bound=n * float(dist.values.sum()) / 2.0,
-    )
+    return ObjectiveReport("ckmm", tree, values, dist.n * float(dist.values.sum()) / 2.0)
 
 
 def dasgupta_cost(weights: DistanceMatrix, tree: HierTree) -> ObjectiveReport:
@@ -446,22 +436,7 @@ def dasgupta_cost(weights: DistanceMatrix, tree: HierTree) -> ObjectiveReport:
     """
     _check_tree_matrix(weights, tree)
     values = _lca_weighted_values(weights.values, tree)
-    return ObjectiveReport(
-        objective_kind="dasgupta",
-        total=math.fsum(values),
-        per_split=tuple(zip(tree.splits(), values)),
-        upper_bound=float(weights.values.sum()),
-    )
-
-
-def _lca_count_matrix(tree: HierTree) -> np.ndarray:
-    n = tree.n_leaves
-    counts = np.zeros((n, n), dtype=np.intp)
-    for nid, l, r in tree.split_arrays():
-        size = tree.leaf_count_under(nid)
-        counts[np.ix_(l, r)] = size
-        counts[np.ix_(r, l)] = size
-    return counts
+    return ObjectiveReport("dasgupta", tree, values, float(weights.values.sum()))
 
 
 def triangle_decompose(
@@ -479,7 +454,8 @@ def triangle_decompose(
     if n < 3:
         raise ValueError("triangle decomposition needs at least three points")
     d = matrix.values.tolist()
-    c = _lca_count_matrix(tree).tolist()
+    sizes = [len(l) + len(r) for _, l, r in tree.split_arrays()]
+    c = np.array(sizes + [0])[tree._split_index()].tolist()
     terms = []
     for i, j, k in itertools.combinations(range(n), 3):
         cij, cik, cjk = c[i][j], c[i][k], c[j][k]
@@ -505,17 +481,6 @@ OPT_MAX_N = 12
 
 # Entries of one temporary in `_subset_radii`: 8 MB of float64.
 _SUBSET_ENTRIES = 1 << 20
-
-
-def _bipartitions(k: int) -> np.ndarray:
-    """(2^(k-1) - 1, k) bool rows: the S1 side of each bipartition of k items.
-
-    Item 0 is always in S1; row t puts item c >= 1 in S1 when bit c - 1 of
-    t is set. t stops short of all ones, which would leave S2 empty.
-    """
-    t = np.arange((1 << (k - 1)) - 1, dtype=np.int64)
-    rest = (t[:, None] >> np.arange(k - 1)) & 1
-    return np.concatenate((np.ones((len(t), 1), dtype=bool), rest.astype(bool)), axis=1)
 
 
 def _subset_radii(coords: np.ndarray) -> np.ndarray:
@@ -568,9 +533,8 @@ def brute_force_opt(
     are visited in increasing order of the bitmask of S1 (bit i for point
     i); a later bipartition replaces the current best only when its sum is
     strictly better. The returned value is not the DP's running sum but the
-    `math.fsum` of the returned tree's own per-split values, so it equals
-    the total that `tree_revenue`, `ckmm_value` or `dasgupta_cost` reports
-    for that tree.
+    `.total` of the report that `tree_revenue`, `ckmm_value` or
+    `dasgupta_cost` gives for the returned tree.
     """
     if objective_kind not in OBJECTIVE_KINDS:
         raise ValueError(f"unknown objective kind {objective_kind!r}")
@@ -595,7 +559,7 @@ def brute_force_opt(
             rev = np.where(delta == 0.0, 1.0, np.minimum(dist[np.ix_(ids, ids)] / safe, 1.0))
             return (rev * (left[:, :, None] & ~left[:, None, :])).sum(axis=(1, 2))
 
-        evaluate = lambda t: _revenue_values(coords, t)
+        score = tree_revenue
     else:
         weights = instance.values
 
@@ -603,7 +567,7 @@ def brute_force_opt(
             cross = (left @ weights[np.ix_(ids, ids)]) * ~left
             return len(ids) * cross.sum(axis=1)
 
-        evaluate = lambda t: _lca_weighted_values(weights, t)
+        score = ckmm_value if objective_kind == "ckmm" else dasgupta_cost
     pick = np.argmin if objective_kind == "dasgupta" else np.argmax
     bit = 1 << np.arange(n, dtype=np.int64)
     sides = {}
@@ -615,7 +579,7 @@ def brute_force_opt(
         ids = np.flatnonzero(mask & bit)
         k = len(ids)
         if k not in sides:
-            sides[k] = _bipartitions(k)
+            sides[k] = _bipartitions(k, 0, (1 << (k - 1)) - 1)
         left = sides[k]
         left_mask = left @ bit[ids]
         right_mask = mask ^ left_mask
@@ -631,4 +595,4 @@ def brute_force_opt(
         return choice[mask], mask ^ choice[mask]
 
     tree = HierTree(_divide((1 << n) - 1, expand), 0)
-    return tree, math.fsum(evaluate(tree))
+    return tree, score(instance, tree).total

@@ -24,7 +24,7 @@ import numpy as np
 
 from .algorithms import RngStream
 from .hiertree import HierTree, Split, _divide, _parse_text, _to_text
-from .metricspace import DistanceMatrix, PointSet
+from .metricspace import DistanceMatrix, PointSet, _first_violation
 
 
 @dataclass(frozen=True)
@@ -61,13 +61,9 @@ class UltrametricSpec:
 
     def induced_matrix(self) -> DistanceMatrix:
         """d(x, y) = weight of the least common ancestor of x and y."""
-        n = self.n
-        values = np.zeros((n, n), dtype=np.float64)
-        for nid, l, r in self.topology.split_arrays():
-            w = self.node_weights[nid]
-            values[np.ix_(l, r)] = w
-            values[np.ix_(r, l)] = w
-        return DistanceMatrix(values)
+        tree = self.topology
+        weights = [self.node_weights[nid] for nid, _, _ in tree.split_arrays()]
+        return DistanceMatrix(np.array(weights + [0.0])[tree._split_index()])
 
     def serialize(self) -> str:
         """Annotated tree text with ``:weight`` after each internal node."""
@@ -92,18 +88,8 @@ def check_ultrametric(
     triples, else (False, (x, y, z)) for the lexicographically first
     violating triple.
     """
-    v = dist.values
-    n = dist.n
-    witnesses = []
-    for z in range(n):
-        bound = np.maximum.outer(v[:, z], v[:, z]) + tol
-        bad = np.argwhere(v > bound)
-        for x, y in bad:
-            if x < y and x != z and y != z:
-                witnesses.append((int(x), int(y), int(z)))
-    if not witnesses:
-        return True, None
-    return False, min(witnesses)
+    found = _first_violation(dist.values, np.maximum, tol)
+    return found is None, found
 
 
 def generate_random(n: int, rng: RngStream, mode: str = "strict") -> UltrametricSpec:

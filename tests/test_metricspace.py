@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,45 @@ def test_check_metric_reports_first_violation():
     assert witness == (0, 2, 1)
     i, j, k = witness
     assert bad.values[i, k] > bad.values[i, j] + bad.values[j, k]
+
+
+def _loop_first_metric_violation(v, tol):
+    """check_metric's witness by a plain loop over (i, k, j), as its docstring orders them."""
+    n = len(v)
+    for i, k, j in itertools.product(range(n), repeat=3):
+        if len({i, j, k}) == 3 and v[i][k] > v[i][j] + v[j][k] + tol:
+            return i, j, k
+    return None
+
+
+def _loop_first_ultrametric_violation(v, tol):
+    n = len(v)
+    for x, y, z in itertools.product(range(n), repeat=3):
+        if x < y and z not in (x, y) and v[x][y] > max(v[x][z], v[y][z]) + tol:
+            return x, y, z
+    return None
+
+
+def test_triangle_checks_match_a_triple_loop():
+    from hierclust import RngStream, check_ultrametric, generate_random
+
+    g = np.random.default_rng(17)
+    matrices = []
+    for n in (1, 2, 3, 4, 5, 7, 9):
+        for _ in range(6):
+            # Rounded entries tie and break both inequalities often.
+            a = np.round(g.uniform(0.0, 4.0, size=(n, n)))
+            matrices.append(np.triu(a, 1) + np.triu(a, 1).T)
+        for mode in ("strict", "with_ties"):
+            matrices.append(generate_random(n, RngStream(n), mode).induced_matrix().values)
+    for values in matrices:
+        dm = DistanceMatrix(values)
+        v = values.tolist()
+        for tol in (-0.5, 0.0, 0.5, 1.0):
+            want = _loop_first_metric_violation(v, tol)
+            assert check_metric(dm, tol) == (want is None, want)
+            want = _loop_first_ultrametric_violation(v, tol)
+            assert check_ultrametric(dm, tol) == (want is None, want)
 
 
 def test_coincident_points_allowed():

@@ -667,12 +667,44 @@ def test_report_csv_shape():
 
 
 def test_report_validation():
-    from hierclust import ObjectiveReport, Split
+    from hierclust import ObjectiveReport
 
-    s = Split(frozenset({0}), frozenset({1}))
-    with pytest.raises(ValueError):
-        ObjectiveReport("revenue", 5.0, ((s, 1.0),), 1.0)  # total != sum
-    with pytest.raises(ValueError):
-        ObjectiveReport("revenue", 2.0, ((s, 2.0),), 10.0)  # per-split over cap
-    with pytest.raises(ValueError):
-        ObjectiveReport("bogus", 0.0, (), 0.0)
+    tree = line_tree()  # splits {0,1}|{2}, cap 2, then {0}|{1}, cap 1
+    with pytest.raises(ValueError, match="needs 2 per-split values, got 1"):
+        ObjectiveReport("revenue", tree, (1.0,), 3.0)
+    with pytest.raises(ValueError, match="per-split revenue must lie in"):
+        ObjectiveReport("revenue", tree, (1.0, 2.0), 3.0)
+    with pytest.raises(ValueError, match="exceeds the n\\(n-1\\)/2 bound"):
+        ObjectiveReport("revenue", tree, (2.0, 1.0), 2.0)
+    with pytest.raises(ValueError, match="unknown objective kind"):
+        ObjectiveReport("bogus", tree, (0.0, 0.0), 0.0)
+
+
+def test_reports_build_no_split_until_per_split_is_read(monkeypatch):
+    from hierclust import Split
+
+    built = []
+    post_init = Split.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Split, "__post_init__", counting)
+    g = np.random.default_rng(40)
+    points = PointSet(g.standard_normal((9, 2)))
+    dist = pairwise_distances(points)
+    tree = random_tree(9, RngStream(40))
+    reports = [
+        tree_revenue(points, tree),
+        tree_revenue(points, tree, "pair_sum"),
+        ckmm_value(dist, tree),
+        dasgupta_cost(dist, tree),
+    ]
+    for rep in reports:
+        assert float.hex(rep.total) == float.hex(math.fsum(rep.values))
+        rep.to_csv()
+    assert built == []
+    for rep in reports:
+        assert rep.per_split == tuple(zip(tree.splits(), rep.values))
+    assert len(built) == 2 * len(reports) * (points.n - 1)
