@@ -61,9 +61,13 @@ class UltrametricSpec:
 
     def induced_matrix(self) -> DistanceMatrix:
         """d(x, y) = weight of the least common ancestor of x and y."""
-        tree = self.topology
-        weights = [self.node_weights[nid] for nid, _, _ in tree.split_arrays()]
-        return DistanceMatrix(np.array(weights + [0.0])[tree._split_index()])
+        n = self.n
+        values = np.zeros((n, n), dtype=np.float64)
+        for nid, l, r in self.topology.split_arrays():
+            w = self.node_weights[nid]
+            values[np.ix_(l, r)] = w
+            values[np.ix_(r, l)] = w
+        return DistanceMatrix(values)
 
     def serialize(self) -> str:
         """Annotated tree text with ``:weight`` after each internal node."""
