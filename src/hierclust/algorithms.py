@@ -404,24 +404,43 @@ def bisecting_kmeans(points: PointSet, config: TwoMeansSolverConfig) -> HierTree
     return HierTree(_divide(np.arange(points.n, dtype=np.intp), expand), 0)
 
 
+# Coin flips `random_tree` draws per refill of its buffer.
+_FLIP_CHUNK = 1024
+
+
 def random_tree(n_or_points: Union[int, PointSet], rng: RngStream) -> HierTree:
     """Divisive baseline: each point picks a side by a fair coin at every node.
 
     A flip leaving one side empty is invalid; the whole node's coin vector
     is redrawn until both sides are nonempty, which realizes the coin
     process conditioned on producing a split.
+
+    The flips come from one buffered `integers(0, 2, size=...)` draw,
+    refilled when it runs out and read depth-first, left subtree first,
+    redraws included. PCG64 hands out one 32-bit word per flip in sequence
+    across calls, so the tree equals the one drawn node by node.
     """
     n = n_or_points if isinstance(n_or_points, (int, np.integer)) else n_or_points.n
     n = int(n)
     if n < 1:
         raise ValueError("need at least one point")
     g = rng.generator()
+    buf = np.empty(0, dtype=np.int64)
+    pos = 0
+
+    def take(m: int) -> np.ndarray:
+        nonlocal buf, pos
+        if pos + m > len(buf):
+            buf = np.concatenate((buf[pos:], g.integers(0, 2, size=max(m, _FLIP_CHUNK))))
+            pos = 0
+        pos += m
+        return buf[pos - m : pos]
 
     def expand(ids: np.ndarray, nid: int):
         if len(ids) == 1:
             return int(ids[0])
         while True:
-            flips = g.integers(0, 2, size=len(ids))
+            flips = take(len(ids))
             k = int(flips.sum())
             if 0 < k < len(ids):
                 return ids[flips == 1], ids[flips == 0]

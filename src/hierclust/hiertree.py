@@ -66,12 +66,17 @@ class Split:
 
 
 class HierTree:
-    """Rooted binary dendrogram; immutable, with cached derived views.
+    """Rooted binary dendrogram; immutable.
 
     `nodes[k]` is either an int (the point index of a leaf) or a pair of
     child node ids. Construction validates the full shape contract: every
     point index appears on exactly one leaf, every internal node has two
     children, there is one root, and everything is reachable exactly once.
+
+    The same pass records the leaves in post-order (each node's first child
+    before its second) as one read-only array, so every node's leaves are
+    one slice of it: `leaf_array` and `split_arrays` return views into that
+    array, O(n) memory in all. `split_arrays` is cached on first use.
     """
 
     __slots__ = (
@@ -83,7 +88,8 @@ class HierTree:
         "_count_under",
         "_post_order",
         "_leaf_node",
-        "_leaf_arrays",
+        "_leaf_order",
+        "_leaf_start",
         "_split_arrays",
     )
 
@@ -101,7 +107,6 @@ class HierTree:
         self.nodes = tuple(normalized)
         self.root = int(root)
         self._validate()
-        self._leaf_arrays = None
         self._split_arrays = None
 
     def _validate(self) -> None:
@@ -153,17 +158,24 @@ class HierTree:
 
         min_leaf = [0] * n_nodes
         count = [0] * n_nodes
+        start = [0] * n_nodes
         leaf_node = [-1] * n
+        order: List[int] = []
         for nid in post:
             v = nodes[nid]
             if isinstance(v, int):
                 min_leaf[nid] = v
                 count[nid] = 1
+                start[nid] = len(order)
                 leaf_node[v] = nid
+                order.append(v)
             else:
                 a, b = v
                 min_leaf[nid] = min(min_leaf[a], min_leaf[b])
                 count[nid] = count[a] + count[b]
+                start[nid] = start[a]
+        leaf_order = np.array(order, dtype=np.intp)
+        leaf_order.flags.writeable = False
 
         self.n_leaves = n
         self._parent = tuple(parent)
@@ -171,6 +183,8 @@ class HierTree:
         self._count_under = tuple(count)
         self._post_order = tuple(post)
         self._leaf_node = tuple(leaf_node)
+        self._leaf_order = leaf_order
+        self._leaf_start = tuple(start)
 
     # ------------------------------------------------------------------
     # constructors / conversions
@@ -208,22 +222,13 @@ class HierTree:
     def internal_ids(self) -> List[int]:
         return [nid for nid, v in enumerate(self.nodes) if not isinstance(v, int)]
 
-    def leaf_count_under(self, nid: int) -> int:
-        return self._count_under[nid]
-
     def leaf_array(self, nid: int) -> np.ndarray:
-        """Point indices of the leaves under `nid` (cached, do not mutate)."""
-        if self._leaf_arrays is None:
-            arrays: List[Optional[np.ndarray]] = [None] * len(self.nodes)
-            for k in self._post_order:
-                v = self.nodes[k]
-                if isinstance(v, int):
-                    arrays[k] = np.array([v], dtype=np.intp)
-                else:
-                    a, b = v
-                    arrays[k] = np.concatenate((arrays[a], arrays[b]))
-            self._leaf_arrays = arrays
-        return self._leaf_arrays[nid]
+        """Point indices of the leaves under `nid`, in post-order (first child's first).
+
+        A read-only view into the tree's one leaf order; writing raises ValueError.
+        """
+        start = self._leaf_start[nid]
+        return self._leaf_order[start : start + self._count_under[nid]]
 
     # ------------------------------------------------------------------
     # derived views

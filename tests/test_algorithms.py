@@ -19,6 +19,8 @@ from hierclust import (
     tree_revenue,
     two_means,
 )
+from hierclust import algorithms
+from hierclust.hiertree import _divide
 from hierclust.metricspace import _distance_blocks, _one_means_cost
 
 
@@ -299,6 +301,36 @@ def test_random_tree_three_leaf_distribution():
     assert len(counts) == 3
     for c in counts.values():
         assert abs(c / trials - 1 / 3) <= 0.02
+
+
+def per_node_random_tree(n, rng):
+    """Oracle: random_tree as it drew one `integers` call per node and per redraw."""
+    g = rng.generator()
+
+    def expand(ids, nid):
+        if len(ids) == 1:
+            return int(ids[0])
+        while True:
+            flips = g.integers(0, 2, size=len(ids))
+            k = int(flips.sum())
+            if 0 < k < len(ids):
+                return ids[flips == 1], ids[flips == 0]
+
+    return HierTree(_divide(np.arange(n, dtype=np.intp), expand), 0)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 2, 7])
+def test_random_tree_buffered_flips_match_per_node_draws(monkeypatch, chunk):
+    # Chunks of 1 and 2 refill on every draw; 7 and the default leave a
+    # remainder that the next node or redraw starts from. n = 2 redraws
+    # half of its root flips.
+    if chunk is not None:
+        monkeypatch.setattr(algorithms, "_FLIP_CHUNK", chunk)
+    cases = [(seed, 1 + seed % 160) for seed in range(200)]
+    cases += [(seed, 2) for seed in range(200)] + [(7, 160), (8, 159)]
+    for seed, n in cases:
+        rng = RngStream(seed, (n,))
+        assert random_tree(n, rng).nodes == per_node_random_tree(n, rng).nodes
 
 
 # ----------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from hierclust import (
@@ -75,6 +78,103 @@ def test_splits_match_nested_oracle_random_n50():
             for a, b in pairs
         )
         assert normalize(got) == normalize(expected)
+
+
+# ----------------------------------------------------------------------
+# leaf views
+
+
+def concatenated_leaf_arrays(tree):
+    """Oracle: each node's leaves as its children's arrays concatenated, in post-order."""
+    arrays = [None] * len(tree.nodes)
+    for k in tree._post_order:
+        v = tree.nodes[k]
+        if isinstance(v, int):
+            arrays[k] = np.array([v], dtype=np.intp)
+        else:
+            a, b = v
+            arrays[k] = np.concatenate((arrays[a], arrays[b]))
+    return arrays
+
+
+def scrambled(tree, seed):
+    """The same tree with its node ids permuted."""
+    perm = np.random.default_rng(seed).permutation(len(tree.nodes)).tolist()
+    nodes = [None] * len(tree.nodes)
+    for nid, v in enumerate(tree.nodes):
+        nodes[perm[nid]] = v if isinstance(v, int) else (perm[v[0]], perm[v[1]])
+    return HierTree(nodes, perm[tree.root])
+
+
+def caterpillar(n):
+    nested = 0
+    for i in range(1, n):
+        nested = (nested, i)
+    return HierTree.from_nested(nested)
+
+
+def balanced(lo, hi):
+    if hi - lo == 1:
+        return lo
+    mid = (lo + hi) // 2
+    return (balanced(lo, mid), balanced(mid, hi))
+
+
+def view_cases():
+    trees = [random_tree(n, RngStream(31, (n,))) for n in (1, 2, 3, 9, 40, 97)]
+    trees += [caterpillar(n) for n in (2, 5, 33)]
+    trees += [HierTree.from_nested(balanced(0, n)) for n in (4, 7, 64)]
+    trees += [parse(t.serialize()) for t in trees[:6]]
+    trees += [parse("((3,(0,4)),((1,5),2))")]
+    return trees + [scrambled(t, seed) for seed, t in enumerate(trees)]
+
+
+def test_leaf_views_match_concatenation_oracle():
+    for tree in view_cases():
+        oracle = concatenated_leaf_arrays(tree)
+        for nid in range(len(tree.nodes)):
+            got = tree.leaf_array(nid)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, oracle[nid])
+        # Root-first, canonical child first.
+        expected = []
+        stack = [tree.root]
+        while stack:
+            nid = stack.pop()
+            if tree.is_leaf(nid):
+                continue
+            a, b = tree._ordered_children(nid)
+            expected.append((nid, oracle[a], oracle[b]))
+            stack += [b, a]
+        got = tree.split_arrays()
+        assert len(got) == len(expected) == tree.n_leaves - 1
+        for (nid, l, r), (e_nid, e_l, e_r) in zip(got, expected):
+            assert nid == e_nid
+            assert np.array_equal(l, e_l) and np.array_equal(r, e_r)
+
+
+def test_leaf_views_are_read_only():
+    tree = random_tree(12, RngStream(5))
+    with pytest.raises(ValueError):
+        tree.leaf_array(tree.root)[0] = 3
+    _, left, right = tree.split_arrays()[0]
+    with pytest.raises(ValueError):
+        left[0] = 0
+    with pytest.raises(ValueError):
+        right += 1
+    assert sorted(tree.leaf_array(tree.root).tolist()) == list(range(12))
+
+
+def test_split_arrays_memory_is_linear_on_a_deep_caterpillar():
+    # Concatenated per-node arrays held about n^2 / 2 indices: 97 MiB here.
+    tree = caterpillar(5000)
+    tracemalloc.start()
+    try:
+        tree.split_arrays()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 # ----------------------------------------------------------------------

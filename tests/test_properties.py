@@ -1,4 +1,4 @@
-"""Property tests: tree text and ultrametric spec round trips.
+"""Property tests: tree text and ultrametric spec round trips, leaf views.
 
 Skipped where hypothesis is not installed. Examples are derandomized and no
 example database is written, so a run repeats exactly. The subset DP's
@@ -61,3 +61,28 @@ def test_ultrametric_spec_round_trips(nested, data):
     assert again.serialize() == text
     assert again.topology == tree
     assert np.array_equal(again.induced_matrix().values, spec.induced_matrix().values)
+
+
+@_SETTINGS
+@given(nested_trees(), st.data())
+def test_leaf_views_concatenate_children_under_any_node_ids(nested, data):
+    base = HierTree.from_nested(nested)
+    perm = data.draw(st.permutations(range(len(base.nodes))))
+    nodes = [None] * len(base.nodes)
+    for nid, v in enumerate(base.nodes):
+        nodes[perm[nid]] = v if isinstance(v, int) else (perm[v[0]], perm[v[1]])
+    tree = HierTree(nodes, perm[base.root])
+    for nid, v in enumerate(tree.nodes):
+        got = tree.leaf_array(nid)
+        assert not got.flags.writeable
+        if isinstance(v, int):
+            assert got.tolist() == [v]
+        else:
+            expected = np.concatenate((tree.leaf_array(v[0]), tree.leaf_array(v[1])))
+            assert np.array_equal(got, expected)
+    for nid, l, r in tree.split_arrays():
+        a, b = tree.children(nid)
+        pair = (tree.leaf_array(a), tree.leaf_array(b))
+        if pair[0].min() > pair[1].min():
+            pair = pair[::-1]
+        assert np.array_equal(l, pair[0]) and np.array_equal(r, pair[1])
