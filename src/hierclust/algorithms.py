@@ -4,12 +4,14 @@ Four builders, all emitting the same dendrogram type:
 
 * bisecting_kmeans -- divisive; recursively applies a 2-means split, solved
   either exactly (every bipartition enumerated) or by restarted Lloyd
-  iterations seeded with k-means++. All restarts of a node run as one
-  batched array pass, and each leaves the batch when its own centers stop
-  moving. The tolerance scales with the node's diameter, which is bracketed
-  in [r, 2r] by the largest distance r from the node's first point and
-  computed exactly only when a move falls inside the bracket. A 2-point
-  node takes its only split without running Lloyd.
+  iterations seeded with k-means++. The tree grows one depth at a time, and
+  the restarts of a node run as one batched array pass together with those
+  of every other node of its depth and size; each restart leaves the batch
+  when its own centers stop moving. The tolerance scales with the node's
+  diameter, which is bracketed in [r, 2r] by the largest distance r from
+  the node's first point and computed exactly only when a move falls
+  inside the bracket. A 2-point node takes its only split without running
+  Lloyd.
 * average_linkage / single_linkage -- agglomerative over a distance matrix,
   merging the pair of clusters with minimum mean / minimum single
   inter-cluster distance. Each row caches its nearest live partner and a
@@ -20,15 +22,17 @@ Four builders, all emitting the same dendrogram type:
 
 Every algorithm is deterministic given its seed; randomness flows through
 `RngStream`, which keys a PCG64 generator by (seed, substream path) so that
-independent uses never share draws.
+independent uses never share draws. Lloyd restarts take their starting
+PCG64 states from `RngStream._pcg64_states` in bulk rather than building a
+generator each.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -44,6 +48,40 @@ from .metricspace import (
 )
 
 
+# numpy's SeedSequence (a pool of four 32-bit words) and PCG64 seeding
+# (O'Neill, 2014), for `RngStream._pcg64_states`.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_chain(init: int, mult: int, steps: int) -> List[int]:
+    """init, init * mult, init * mult^2, ... mod 2^32: `steps` + 1 hash constants."""
+    chain = [init]
+    for _ in range(steps):
+        chain.append((chain[-1] * mult) & _MASK32)
+    return chain
+
+
+# The hash constants of SeedSequence.generate_state's eight 32-bit words.
+_HASH_B = np.array(_hash_chain(_INIT_B, _MULT_B, 8), dtype=np.uint64)[:, None]
+
+
+def _uint32_words(value: int) -> List[int]:
+    """A nonnegative integer as little-endian 32-bit words, as SeedSequence reads it."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Reproducible randomness: PCG64 keyed by a seed and a substream path.
@@ -51,7 +89,9 @@ class RngStream:
     Equal (seed, path) gives identical draws on every platform. substream()
     derives an independent child stream without consuming from the parent;
     generator() returns a fresh generator positioned at the stream's start,
-    so each stream should feed one consumer.
+    so each stream should feed one consumer. `_pcg64_states` gives the
+    starting PCG64 state of many substreams at once, without building a
+    generator for each.
     """
 
     seed: int
@@ -69,6 +109,66 @@ class RngStream:
     def seed_int(self) -> int:
         """A stable 63-bit integer usable as a derived config seed."""
         return int(self._sequence().generate_state(1, np.uint64)[0] >> np.uint64(1))
+
+    def _pcg64_states(self, tails: np.ndarray) -> List[Tuple[int, int]]:
+        """PCG64 (state, inc) of `self.substream(*row).generator()` for each row of `tails`.
+
+        Every entry of `tails` (an (N, t) integer array, t >= 1) must be
+        below 2^32, one SeedSequence word. SeedSequence mixes its words in
+        order with a running hash constant, so the seed and path, the prefix
+        every row shares, are mixed once, and only the last t words are
+        mixed as arrays over the rows. The pool then gives four 64-bit
+        words, and PCG64 seeds from them as numpy's C code does.
+        """
+        tails = np.asarray(tails, dtype=np.int64)
+        if tails.size and not (tails.min() >= 0 and tails.max() <= _MASK32):
+            raise ValueError("substream keys for bulk seeding must be in 0..2^32-1")
+        words = _uint32_words(self.seed)
+        words += [0] * (4 - len(words))  # a spawned sequence pads its entropy to the pool
+        for key in self.path:
+            words += _uint32_words(key)
+        # hashes[c]: the hash constant before SeedSequence's c-th hashmix call.
+        hashes = _hash_chain(_INIT_A, _MULT_A, 4 * len(words) + 4 * tails.shape[1])
+        c = 0
+
+        def hashmix(value):
+            nonlocal c
+            c += 1
+            value = ((value ^ hashes[c - 1]) * hashes[c]) & _MASK32
+            return value ^ (value >> 16)
+
+        def mix(x, y):
+            z = (_MIX_L * x - _MIX_R * y) & _MASK32
+            return z ^ (z >> 16)
+
+        pool = [hashmix(w) for w in words[:4]]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for w in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(w))
+        # A row's own words mix into all four pool words at once, as uint64
+        # arrays: products of two 32-bit values fit, and a difference that
+        # wraps mod 2^64 is still exact mod 2^32 once masked.
+        rows = np.array(pool, dtype=np.uint64)[:, None]
+        chain = np.array(hashes, dtype=np.uint64)[:, None]
+        for column in tails.T.astype(np.uint64):
+            value = ((column ^ chain[c : c + 4]) * chain[c + 1 : c + 5]) & _MASK32
+            rows = mix(rows, value ^ (value >> 16))
+            c += 4
+        # generate_state(4, uint64): eight hashed pool words, paired little-endian.
+        state = ((rows[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _HASH_B[:-1]) * _HASH_B[1:]) & _MASK32
+        state ^= state >> 16
+        seed_hi, seed_lo, inc_hi, inc_lo = (state[0::2] | (state[1::2] << 32)).tolist()
+        out = []
+        for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+            # pcg_setseq_128_srandom_r: inc = 2 initseq + 1, and two steps
+            # of state = state * mult + inc around adding initstate.
+            inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
+            out.append((((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
+        return out
 
 
 @dataclass(frozen=True)
@@ -162,8 +262,9 @@ def _exhaustive_two_means(coords: np.ndarray, ids: np.ndarray) -> Sides:
     return side1, side2, float(cost)
 
 
-# Entries of one difference or masked-sum temporary in the batched Lloyd
-# pass: about 32 MB of float64, the cap `_distance_blocks` uses.
+# Entries of one temporary of the batched Lloyd pass (a difference, the
+# weights of a centroid bincount, a block of side totals): about 32 MB of
+# float64, the cap `_distance_blocks` uses.
 _BATCH_ENTRIES = 4_000_000
 
 # `_move_test` trusts its upper bound 2r only for r in this range. There no
@@ -186,146 +287,233 @@ def _batch_blocks(runs: int, rows: int, width: int) -> Iterator[Tuple[slice, sli
             yield slice(a, a + run_step), slice(s, s + row_step)
 
 
-def _squared_distances(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """out[r, i, k]: squared distance from pts[i] to centers[r, k].
+def _squared_distances(pts: np.ndarray, owner: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """out[r, i, k]: squared distance from pts[owner[r], i] to centers[r, k].
 
-    Each entry sums its squared differences over the last axis, as one
-    (m, k, dim) difference would, so it matches that bit for bit. The
-    difference is one expression, so no name holds a block while the next
-    one is made.
+    `pts` holds one (m, dim) point set per node; a single node is broadcast
+    to every run rather than copied for each. Each entry sums its squared
+    differences over the last axis, as one (m, k, dim) difference would, so
+    it matches that bit for bit. The difference is one expression, so no
+    name holds a block while the next one is made.
     """
     runs, k, dim = centers.shape
-    out = np.empty((runs, len(pts), k))
-    for rs, ss in _batch_blocks(runs, len(pts), k * dim):
-        out[rs, ss] = ((pts[None, ss, None, :] - centers[rs, None, :, :]) ** 2).sum(axis=3)
+    out = np.empty((runs, pts.shape[1], k))
+    for rs, ss in _batch_blocks(runs, pts.shape[1], k * dim):
+        own = pts[:, ss] if len(pts) == 1 else pts[owner[rs], ss]
+        out[rs, ss] = ((own[:, :, None, :] - centers[rs, None, :, :]) ** 2).sum(axis=3)
     return out
 
 
-def _side_centroids(pts: np.ndarray, side: np.ndarray, ones: np.ndarray) -> np.ndarray:
-    """out[r, k]: pts[side[r] == k].mean(axis=0), bit for bit; `ones` counts side 1.
+def _side_centroids(
+    pts: np.ndarray, owner: np.ndarray, side: np.ndarray, ones: np.ndarray
+) -> np.ndarray:
+    """out[r, k]: pts[owner[r]][side[r] == k].mean(axis=0), bit for bit; `ones` counts side 1.
 
     numpy sums the rows of a selection of two or more columns one after
-    another. Each block here starts from the running sum (-0.0 at first)
-    and holds the block's rows with the other side's rows set to -0.0,
-    which leaves every partial sum as it is, so its row-by-row sum is the
-    same. A single column is summed pairwise instead, so with dim == 1 each
-    side's selection is summed by itself.
+    another, starting from 0.0, and np.bincount adds its weights to their
+    bins one after another from 0.0 as well. So one bincount sums every
+    (restart, side, column) of a block, and a row block after the first
+    enters its restarts' running sums ahead of its own rows. A single
+    column is summed pairwise instead, as `_side_totals` sums it.
     """
     runs, m = side.shape
-    dim = pts.shape[1]
-    sums = np.full((runs, 2, dim), -0.0)
+    dim = pts.shape[2]
+    counts = np.stack([m - ones, ones], axis=1)[:, :, None]
     if dim == 1:
-        for r in range(runs):
-            for k in (0, 1):
-                sums[r, k] = pts[side[r] == k].sum(axis=0)
-    else:
-        on_side = side[:, None, :, None] == np.arange(2)[:, None, None]
-        for rs, ss in _batch_blocks(runs, m, 2 * dim):
-            block = np.empty((len(sums[rs]), 2, 1 + len(pts[ss]), dim))
-            block[:, :, 0] = sums[rs]
-            block[:, :, 1:] = -0.0
-            np.copyto(block[:, :, 1:], pts[ss], where=on_side[rs, :, ss])
-            sums[rs] = block.sum(axis=2)
-            del block  # freed before the next block is made
-    return sums / np.stack([m - ones, ones], axis=1)[:, :, None]
+        return _side_totals(pts, owner, side)[:, :, None] / counts
+    sums = np.zeros((runs, 2, dim))
+    bins = 2 * np.arange(runs)[:, None] + side
+    for rs, ss in _batch_blocks(runs, m, 2 * dim):
+        block = bins[rs, ss] - 2 * rs.start
+        # Weights in (restart, row, column) order; one node is broadcast.
+        if len(pts) == 1:
+            weights = np.broadcast_to(pts[0, ss], (*block.shape, dim)).ravel()
+        else:
+            weights = pts[owner[rs], ss].ravel()
+        block = ((block * dim)[:, :, None] + np.arange(dim)).ravel()
+        if ss.start > 0:
+            block = np.concatenate((np.arange(sums[rs].size), block))
+            weights = np.concatenate((sums[rs].ravel(), weights))
+        sums[rs] = np.bincount(block, weights, sums[rs].size).reshape(-1, 2, dim)
+        del block, weights  # freed before the next block is made
+    return sums / counts
 
 
-def _move_test(pts: np.ndarray, tol: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Return a test of `move <= tol * diameter(pts)` for an array of moves.
+def _side_totals(
+    pts: np.ndarray, owner: np.ndarray, side: np.ndarray, centers: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """out[r, k]: `.sum()` of run r's side-k rows, or of their squared differences from centers[r, k].
 
-    With r the largest distance from the first point, the diameter lies in
-    [r, 2r]. r is one of the distances the diameter is the maximum of, so a
-    move up to tol * r passes. A move above tol * 2r fails once 2r is
-    widened by (dim + 4) * 2^-50, more than twice the relative rounding
-    error of a computed distance. Only a move in between computes the exact
-    O(m^2 dim) diameter, once per set.
+    numpy sums a contiguous array, or a single column, pairwise, starting
+    from 0.0, and np.add.reduceat over a segment that starts with 0.0 adds
+    the same. So a block of runs lays out, for each run, 0.0, its side-0
+    rows, 0.0 and its side-1 rows, every side in point order and flattened,
+    and one reduceat sums them all.
     """
-    r = max(float(block.max()) for _, block in _distance_blocks(pts[:1], pts))
-    low = tol * r
-    if _BRACKET_RANGE[0] <= r <= _BRACKET_RANGE[1]:
-        high = tol * (2.0 * r) * (1.0 + (pts.shape[1] + 4) * 2.0**-50)
-    else:
-        high = np.inf
-    diameter = None
+    runs, m = side.shape
+    dim = pts.shape[2]
+    width = m * dim + 2
+    zeros = m - side.sum(axis=1)
+    out = np.empty((runs, 2))
+    # A block holds two (runs, m, dim) temporaries at a time.
+    step = max(1, _BATCH_ENTRIES // (2 * width))
+    for a in range(0, runs, step):
+        rs = slice(a, a + step)
+        order = np.argsort(side[rs], axis=1, kind="stable")
+        values = pts[0][order] if len(pts) == 1 else pts[owner[rs, None], order]
+        if centers is not None:
+            sorted_side = np.take_along_axis(side[rs], order, axis=1)
+            values -= np.take_along_axis(centers[rs], sorted_side[:, :, None], axis=1)
+            values *= values
+        gaps = np.arange(len(values)) * width
+        cut = gaps + zeros[rs] * dim + 1
+        row = np.zeros(len(values) * width)
+        keep = np.ones(len(row), dtype=bool)
+        keep[gaps] = False
+        keep[cut] = False
+        row[keep] = values.ravel()
+        del values, keep
+        out[rs] = np.add.reduceat(row, np.column_stack((gaps, cut)).ravel()).reshape(-1, 2)
+    return out
 
-    def passes(move: np.ndarray) -> np.ndarray:
-        nonlocal diameter
-        done = move <= low
-        unsure = ~done & (move <= high)
-        if unsure.any():
-            if diameter is None:
+
+def _move_test(pts: np.ndarray, tol: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Return a test of `move <= tol * diameter(pts[node])` for arrays of nodes and moves.
+
+    With r the largest distance from a node's first point, its diameter
+    lies in [r, 2r]. r is one of the distances the diameter is the maximum
+    of, so a move up to tol * r passes. A move above tol * 2r fails once 2r
+    is widened by (dim + 4) * 2^-50, more than twice the relative rounding
+    error of a computed distance. Only a move in between computes the exact
+    O(m^2 dim) diameter of its node, once per node.
+    """
+    count, _, dim = pts.shape
+    # sqrt is monotone, so the largest distance is the root of the largest square.
+    r = np.sqrt(_squared_distances(pts, np.arange(count), pts[:, :1]).max(axis=(1, 2)))
+    low = tol * r
+    in_range = (_BRACKET_RANGE[0] <= r) & (r <= _BRACKET_RANGE[1])
+    high = np.where(in_range, tol * (2.0 * r) * (1.0 + (dim + 4) * 2.0**-50), np.inf)
+    diameter = {}
+
+    def passes(owner: np.ndarray, move: np.ndarray) -> np.ndarray:
+        done = move <= low[owner]
+        for j in np.flatnonzero(~done & (move <= high[owner])).tolist():
+            k = int(owner[j])
+            if k not in diameter:
                 # The maximum over row blocks is exact: sqrt is monotone.
-                diameter = max(float(b.max()) for _, b in _distance_blocks(pts, pts))
-            done |= unsure & (move <= tol * diameter)
+                diameter[k] = max(float(b.max()) for _, b in _distance_blocks(pts[k], pts[k]))
+            done[j] = move[j] <= tol * diameter[k]
         return done
 
     return passes
 
 
-def _lloyd_two_means(
-    coords: np.ndarray, ids: np.ndarray, config: TwoMeansSolverConfig, rng: RngStream
-) -> Sides:
-    """Best of `lloyd_restarts` k-means++ seeded Lloyd runs, run as one batch.
+def _restart_draws(
+    rng: RngStream, keys: np.ndarray, sizes: np.ndarray, restarts: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The first two draws of each restart of each node.
 
-    Restart r seeds from `rng.substream(r)` and leaves the batch when its
-    own move test passes; the first restart with the lowest cost wins.
-    Splits and costs are bit for bit those of running each restart alone.
-    Restart and row blocks cap every batch temporary at `_BATCH_ENTRIES`
-    entries (about 32 MB), or at one row when a single row is wider.
+    Run k * restarts + r draws from `rng.substream(*keys[k], r).generator()`:
+    `integers(sizes[k])` and then `random()`. numpy's own Generator makes
+    them, on one reused PCG64 whose state is set to each run's starting
+    state in turn, computed in bulk; has_uint32 = 0 drops the 32-bit half
+    that an `integers` draw may leave buffered.
     """
-    pts = coords[ids]
-    m = len(pts)
-    if m == 2:
-        return ids[:1], ids[1:], 0.0
-    runs = config.lloyd_restarts
-    gens = [rng.substream(r).generator() for r in range(runs)]
-    first = np.array([g.integers(m) for g in gens], dtype=np.intp)
-    seed_d2 = _squared_distances(pts, pts[first, None, :])[:, :, 0]
+    tails = np.column_stack(
+        (np.repeat(keys, restarts, axis=0), np.tile(np.arange(restarts), len(keys)))
+    )
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    first = np.empty(len(tails), dtype=np.intp)
+    draws = np.empty(len(tails))
+    bounds = np.repeat(sizes, restarts).tolist()
+    for j, (bound, (start, inc)) in enumerate(zip(bounds, rng._pcg64_states(tails))):
+        state["state"] = {"state": start, "inc": inc}
+        bits.state = state
+        first[j] = gen.integers(bound)
+        draws[j] = gen.random()
+    return first, draws
+
+
+def _lloyd_batch(
+    coords: np.ndarray,
+    nodes: np.ndarray,
+    config: TwoMeansSolverConfig,
+    first: np.ndarray,
+    draws: np.ndarray,
+) -> List[Sides]:
+    """Best of `lloyd_restarts` k-means++ seeded Lloyd runs for each row of `nodes`.
+
+    `nodes` is a (K, m) array, m >= 3, whose rows are ascending index
+    sets. Run k * restarts + r is restart r of row k; `first` and `draws`
+    are its `integers(m)` and `random()` draws (`_restart_draws`). All runs
+    go as one batch, and each leaves it when its node's move test passes;
+    a node's first restart with the lowest cost wins. Splits and costs are
+    bit for bit those of running each restart alone: the rows share one
+    size, so every k-means++ total sums over its own node's m points, as a
+    lone restart sums it. Restart and row blocks cap
+    every batch temporary at `_BATCH_ENTRIES` entries (about 32 MB), or at
+    one row when a single row is wider.
+    """
+    count, m = nodes.shape
+    restarts = config.lloyd_restarts
+    pts = coords[nodes]
+    owner = np.repeat(np.arange(count), restarts)
+    starts = pts[owner, first]
+    seed_d2 = _squared_distances(pts, owner, starts[:, None, :])[:, :, 0]
     totals = seed_d2.sum(axis=1)
     # The second seed is g.choice(m, p=d2 / total), drawn as Generator.choice
     # draws it: one g.random(), counted against the normalized cumulative
     # sum of p. A restart whose points all sit on its first seed takes point 0.
     cdf = np.cumsum(seed_d2 / np.where(totals == 0.0, 1.0, totals)[:, None], axis=1)
     cdf /= np.where(totals == 0.0, 1.0, cdf[:, -1])[:, None]
-    draws = np.array([g.random() for g in gens])
     second = np.where(totals == 0.0, 0, (cdf <= draws[:, None]).sum(axis=1))
-    centers = np.stack([pts[first], pts[second]], axis=1)
-    assign = np.zeros((runs, m), dtype=np.intp)
+    centers = np.stack([starts, pts[owner, second]], axis=1)
+    assign = np.zeros((len(owner), m), dtype=np.intp)
     converged = _move_test(pts, config.lloyd_tol)
-    live = np.arange(runs)
+    live = np.arange(len(owner))
     rows = np.arange(m)
     for _ in range(config.lloyd_max_iters):
-        dist2 = _squared_distances(pts, centers[live])
+        node = owner[live]
+        old = centers[live]
+        dist2 = _squared_distances(pts, node, old)
         side = dist2.argmin(axis=2)
         ones = side.sum(axis=1)
         for k in np.flatnonzero((ones == 0) | (ones == m)).tolist():
             own = dist2[k, rows, side[k]]
             side[k, int(own.argmax())] = 1 if ones[k] == 0 else 0
             ones[k] += 1 if ones[k] == 0 else -1
-        new = _side_centroids(pts, side, ones)
-        move = np.sqrt(((new - centers[live]) ** 2).sum(axis=2)).max(axis=1)
+        new = _side_centroids(pts, node, side, ones)
+        move = np.sqrt(((new - old) ** 2).sum(axis=2)).max(axis=1)
         centers[live] = new
         assign[live] = side
-        live = live[~converged(move)]
+        live = live[~converged(node, move)]
         if live.size == 0:
             break
     # A restart's centers are the means of its final sides, so the squared
-    # differences from them sum to `_one_means_cost` of each side, bit for
-    # bit. One cost per distinct split: swapping the sides only swaps the
-    # two terms, so the key puts point 0 on side 0.
-    costs = {}
-    best_cost = np.inf
-    best_assign = None
-    for row, pair in zip(assign, centers):
-        key = (row ^ row[0]).tobytes()
-        if key not in costs:
-            d0 = pts[row == 0] - pair[0]
-            d1 = pts[row == 1] - pair[1]
-            costs[key] = float((d0 * d0).sum()) + float((d1 * d1).sum())
-        if costs[key] < best_cost:
-            best_cost, best_assign = costs[key], row
-    assert best_assign is not None
-    return (*_ordered_split(ids[best_assign == 0], ids[best_assign == 1]), float(best_cost))
+    # differences from them sum to `_one_means_cost` of each side.
+    sides = _side_totals(pts, owner, assign, centers)
+    cost = (sides[:, 0] + sides[:, 1]).reshape(count, restarts)
+    best = cost.argmin(axis=1)
+    out: List[Sides] = []
+    for ids, row, value in zip(nodes, assign[best + restarts * np.arange(count)], cost.min(axis=1)):
+        out.append((*_ordered_split(ids[row == 0], ids[row == 1]), float(value)))
+    return out
+
+
+def _lloyd_two_means(
+    coords: np.ndarray, ids: np.ndarray, config: TwoMeansSolverConfig, rng: RngStream
+) -> Sides:
+    """The Lloyd solver on one point set; restart r seeds from `rng.substream(r)`.
+
+    `_lloyd_batch` with one node. A 2-point set takes its only split.
+    """
+    if len(ids) == 2:
+        return ids[:1], ids[1:], 0.0
+    no_keys = np.empty((1, 0), dtype=np.int64)
+    first, draws = _restart_draws(rng, no_keys, np.array([len(ids)]), config.lloyd_restarts)
+    return _lloyd_batch(coords, ids[None, :], config, first, draws)[0]
 
 
 def _solve_two_means(
@@ -378,13 +566,17 @@ def bisecting_kmeans(points: PointSet, config: TwoMeansSolverConfig) -> HierTree
     own substream, keyed by the node's visit number, so the whole tree is a
     pure function of the input and config.seed.
 
-    The Lloyd solver runs all restarts of a node as one batched pass (each
-    restart still seeds from its own substream and stops on its own move
-    test), bounds the node's diameter by [r, 2r] with r the largest
-    distance from its first point and computes it exactly only for a move
-    between the bounds, and returns a 2-point node's only split directly.
-    A 2-point node still takes its visit number, so later nodes keep their
-    substreams.
+    Visit numbers count the internal nodes depth-first, left subtree
+    first, 2-point nodes included. A subtree of k leaves holds k - 1 of
+    them, so a node with visit v gives v + 1 to its left child and
+    v + |left| to its right one, before either subtree is built. The tree
+    therefore grows one depth at a time, and restart r of every node still
+    seeds from `RngStream(seed).substream(v, r)`. The Lloyd solver runs
+    all nodes of one depth and one size as a single batch (each restart
+    seeds from its own substream and stops on its own node's move test),
+    and a 2-point node takes its only split without drawing; the
+    exhaustive solver takes the nodes one by one. The finished splits are
+    assembled depth-first, so node ids are those of a depth-first build.
 
     Both solvers work on the coordinates scaled by the power of two that
     brings the largest magnitude into [0.5, 1). The scale is exact, so it
@@ -393,15 +585,40 @@ def bisecting_kmeans(points: PointSet, config: TwoMeansSolverConfig) -> HierTree
     """
     coords = _unit_scaled(points.coords)
     base = RngStream(config.seed)
-    visits = itertools.count()
+    restarts = config.lloyd_restarts
+    n = points.n
+    # splits[v]: the (left, right) sides of the node with visit number v.
+    splits: List[Tuple[np.ndarray, np.ndarray]] = [None] * (n - 1)  # type: ignore[list-item]
+    frontier = [(0, np.arange(n, dtype=np.intp))] if n > 1 else []
+    while frontier:
+        if config.kind == "lloyd":
+            solved = [(v, (ids[:1], ids[1:], 0.0)) for v, ids in frontier if len(ids) == 2]
+            frontier = [(v, ids) for v, ids in frontier if len(ids) > 2]
+            visits = np.array([v for v, _ in frontier], dtype=np.int64)
+            sizes = np.array([len(ids) for _, ids in frontier], dtype=np.intp)
+            first, draws = _restart_draws(base, visits[:, None], sizes, restarts)
+            for m in np.unique(sizes).tolist():
+                group = np.flatnonzero(sizes == m)
+                runs = (group[:, None] * restarts + np.arange(restarts)).ravel()
+                nodes = np.stack([frontier[k][1] for k in group.tolist()])
+                sides = _lloyd_batch(coords, nodes, config, first[runs], draws[runs])
+                solved += zip(visits[group].tolist(), sides)
+        else:
+            solved = [(v, _solve_two_means(coords, ids, config, base)) for v, ids in frontier]
+        frontier = []
+        for v, (left, right, _) in solved:
+            splits[v] = (left, right)
+            for w, side in ((v + 1, left), (v + len(left), right)):
+                if len(side) > 1:
+                    frontier.append((w, side))
+
+    # `_divide` expands the internal nodes in visit order.
+    internal = iter(splits)
 
     def expand(ids: np.ndarray, nid: int):
-        if len(ids) == 1:
-            return int(ids[0])
-        left, right, _ = _solve_two_means(coords, ids, config, base.substream(next(visits)))
-        return left, right
+        return int(ids[0]) if len(ids) == 1 else next(internal)
 
-    return HierTree(_divide(np.arange(points.n, dtype=np.intp), expand), 0)
+    return HierTree(_divide(np.arange(n, dtype=np.intp), expand), 0)
 
 
 # Coin flips `random_tree` draws per refill of its buffer.

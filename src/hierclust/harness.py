@@ -135,15 +135,22 @@ def ingest_csv_report(path: str, options: IngestOptions = IngestOptions()) -> In
                 f" expected {width}, got {len(row)}"
             )
 
-    parsed = [[_parse_cell(c) for c in row] for row in rows]
+    # A row is parsed in one pass; only a row where float() refuses some
+    # cell is parsed again cell by cell, with None for the refused cells.
+    parsed: List[List[Optional[float]]] = []
+    slow: List[int] = []
+    for k, row in enumerate(rows):
+        try:
+            parsed.append(list(map(float, row)))
+        except ValueError:
+            parsed.append([_parse_cell(c) for c in row])
+            slow.append(k)
     if options.columns is None:
-        used = tuple(
-            j for j in range(width) if all(parsed[k][j] is not None for k in range(len(rows)))
-        )
+        used = tuple(j for j in range(width) if all(parsed[k][j] is not None for k in slow))
         dropped = tuple(j for j in range(width) if j not in used)
         if not used:
             raise DataError("no numeric columns found")
-        data = [[parsed[k][j] for j in used] for k in range(len(rows))]
+        data = [[row[j] for j in used] for row in parsed] if dropped else parsed
         rejected: Tuple[int, ...] = ()
     else:
         used = tuple(int(j) for j in options.columns)
@@ -153,15 +160,12 @@ def ingest_csv_report(path: str, options: IngestOptions = IngestOptions()) -> In
             if not 0 <= j < width:
                 raise DataError(f"selected column {j} out of range for width {width}")
         dropped = ()
-        data = []
-        bad: List[int] = []
-        for k in range(len(rows)):
-            values = [parsed[k][j] for j in used]
-            if any(v is None for v in values):
-                bad.append(first_data_line + k)
-            else:
-                data.append(values)
-        rejected = tuple(bad)
+        bad = [k for k in slow if any(parsed[k][j] is None for j in used)]
+        rejected = tuple(first_data_line + k for k in bad)
+        if bad:
+            skip = set(bad)
+            parsed = [row for k, row in enumerate(parsed) if k not in skip]
+        data = parsed if used == tuple(range(width)) else [[row[j] for j in used] for row in parsed]
         if not data:
             raise DataError("every row was rejected; no points left")
     return IngestResult(
@@ -710,7 +714,3 @@ def cli_main(argv: Sequence[str]) -> int:
 
 def main() -> None:
     sys.exit(cli_main(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

@@ -1,4 +1,4 @@
-"""Lloyd 2-means against the per-restart loop it replaces.
+"""Lloyd 2-means and bisecting 2-means against the loops they replace.
 
 `_reference_lloyd_two_means` is the library's Lloyd solver before the
 restarts of a node ran as one batch: each restart draws its k-means++ seeds
@@ -6,17 +6,40 @@ from its own substream, runs its own Lloyd loop against a tolerance scaled
 by the exact diameter, and is scored from `coords`. The library must return
 the same split and the same cost, compared with `float.hex`, on every input
 below, under every solver setting below.
+
+`_reference_bisecting_kmeans` is `bisecting_kmeans` before the tree grew
+one depth at a time: it builds depth first, one node at a time, through
+`_reference_lloyd_two_means`. The library must build the same tree.
+
+The bulk seeding of restarts must reproduce numpy's own SeedSequence and
+PCG64 state, and the draws made from it, key for key.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hierclust import PointSet, RngStream, Split, TwoMeansSolverConfig, bisecting_kmeans, two_means
+from hierclust import (
+    HierTree,
+    PointSet,
+    RngStream,
+    Split,
+    TwoMeansSolverConfig,
+    bisecting_kmeans,
+    synth_gaussian_mixture,
+    two_means,
+)
 from hierclust import algorithms
-from hierclust.algorithms import _lloyd_two_means, _ordered_split
-from hierclust.metricspace import _distance_blocks, _one_means_cost
+from hierclust.algorithms import (
+    _exhaustive_two_means,
+    _lloyd_two_means,
+    _ordered_split,
+    _restart_draws,
+)
+from hierclust.hiertree import _divide
+from hierclust.metricspace import _distance_blocks, _one_means_cost, _unit_scaled
 
 
 def _lloyd_once(
@@ -182,8 +205,10 @@ def test_exact_diameter_only_between_its_bounds(monkeypatch):
     coords = g.standard_normal((200, 4))
     ids = np.arange(200)
     # A converged restart moves its centers by exactly 0, under any bound.
+    # The bound r comes from the batch's own squared distances, so no
+    # distance block is made at all.
     _lloyd_two_means(coords, ids, TwoMeansSolverConfig(kind="lloyd"), RngStream(1))
-    assert calls == [1]
+    assert calls == []
     # A wide tolerance puts some first moves between tol * r and tol * 2r;
     # the exact diameter is then computed once for the set, and the answer
     # still matches the loop that always computed it.
@@ -240,3 +265,174 @@ def test_two_means_cost_in_original_units():
     assert cost == np.inf  # about 3e400, past the float range
     small = PointSet(np.ldexp(HUGE, -700))
     assert two_means(small, range(4), config)[0] == split
+
+
+# ----------------------------------------------------------------------
+# bisecting 2-means, one depth at a time
+
+
+def _reference_bisecting_kmeans(points, config):
+    """Depth first, left subtree first, one node at a time.
+
+    The v-th node visited with two or more points seeds restart r from
+    `RngStream(config.seed).substream(v).substream(r).generator()`, and a
+    2-point node takes its only split.
+    """
+    coords = _unit_scaled(points.coords)
+    base = RngStream(config.seed)
+    visits = itertools.count()
+
+    def expand(ids, nid):
+        if len(ids) == 1:
+            return int(ids[0])
+        rng = base.substream(next(visits))
+        if config.kind == "exhaustive":
+            left, right, _ = _exhaustive_two_means(coords, ids)
+        elif len(ids) == 2:
+            left, right = ids[:1], ids[1:]
+        else:
+            left, right, _ = _reference_lloyd_two_means(coords, ids, config, rng)
+        return left, right
+
+    return HierTree(_divide(np.arange(points.n, dtype=np.intp), expand), 0)
+
+
+def _random_points(n, dim):
+    g = np.random.default_rng(100 * n + dim)
+    return g.standard_normal((n, dim)) + 4.0 * (np.arange(n) % 3)[:, None]
+
+
+def _assert_same_tree(coords, seed=0, kind="lloyd", settings=SETTINGS):
+    points = PointSet(np.asarray(coords, dtype=np.float64))
+    for fields in settings:
+        config = TwoMeansSolverConfig(kind=kind, seed=seed, **fields)
+        want = _reference_bisecting_kmeans(points, config)
+        assert _ids(bisecting_kmeans(points, config)) == _ids(want), fields
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8, 32])
+@pytest.mark.parametrize("n", [3, 17, 64, 300, 1000])
+def test_bisecting_matches_depth_first_build(n, dim):
+    _assert_same_tree(_random_points(n, dim), seed=n + dim)
+
+
+# The tie inputs, with 12 copies of the six 1-D locations rather than 50:
+# with 50, the per-restart reference takes over a minute.
+TREE_TIE_INPUTS = {
+    **{name: coords for name, coords in TIE_INPUTS.items() if name != "coincident_6x50_1d"},
+    "coincident_6x12_1d": _coincident(6, 12, 1, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TREE_TIE_INPUTS))
+def test_bisecting_matches_depth_first_build_on_ties(name):
+    for seed in range(2):
+        _assert_same_tree(TREE_TIE_INPUTS[name], seed=seed)
+
+
+@pytest.mark.parametrize("exponent", [-600, 600])
+def test_bisecting_matches_depth_first_build_when_scaled(exponent):
+    for name in ("grid_2d_120", "coincident_5x8_2d", "zeros_17"):
+        _assert_same_tree(np.ldexp(TIE_INPUTS[name], exponent), seed=3)
+    _assert_same_tree(np.ldexp(_random_points(64, 3), exponent), seed=4)
+
+
+def test_bisecting_matches_depth_first_build_on_mixture():
+    points = synth_gaussian_mixture(8, 1000, 8, 20.0, RngStream(11))
+    _assert_same_tree(points.coords, seed=11)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8, 32])
+def test_bisecting_matches_depth_first_build_in_small_blocks(monkeypatch, dim):
+    # Blocks of a few restarts and rows, and a row wider than a block: the
+    # centroid sums carry across row blocks in every batch of the tree.
+    monkeypatch.setattr(algorithms, "_BATCH_ENTRIES", 60)
+    _assert_same_tree(_random_points(64, dim), seed=dim)
+    _assert_same_tree(np.round(_random_points(40, dim)), seed=dim, settings=SETTINGS[:2])
+
+
+def test_bisecting_exhaustive_matches_depth_first_build():
+    for n, dim in ((3, 1), (9, 2), (16, 3), (20, 8)):
+        _assert_same_tree(_random_points(n, dim), kind="exhaustive", settings=({},))
+    _assert_same_tree(TIE_INPUTS["coincident_pairs_3d"], kind="exhaustive", settings=({},))
+
+
+def test_bisecting_matches_depth_first_build_on_drawn_points():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    coordinate = st.one_of(
+        st.integers(-2, 2).map(float),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    )
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(1, 40))
+        dim = draw(st.integers(1, 4))
+        row = st.lists(coordinate, min_size=dim, max_size=dim)
+        coords = np.array(draw(st.lists(row, min_size=n, max_size=n)))
+        return coords, draw(st.sampled_from(SETTINGS)), draw(st.integers(0, 2**40))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(cases())
+    def check(case):
+        coords, fields, seed = case
+        points = PointSet(coords)
+        config = TwoMeansSolverConfig(kind="lloyd", seed=seed, **fields)
+        want = _reference_bisecting_kmeans(points, config)
+        assert _ids(bisecting_kmeans(points, config)) == _ids(want)
+
+    check()
+
+
+# ----------------------------------------------------------------------
+# restart seeds without a generator per restart
+
+# Seeds of one and of two 32-bit words, and paths of length 0 to 3 with
+# keys of one and of two words.
+SEED_STREAMS = [
+    RngStream(seed, path)
+    for seed in (0, 11, 2**32 + 5, 2**63 - 1)
+    for path in ((), (7,), (2**33, 1), (3, 0, 2**32 - 1))
+]
+
+
+@pytest.mark.parametrize("stream", SEED_STREAMS, ids=repr)
+def test_bulk_seeding_matches_numpy(stream):
+    g = np.random.default_rng(stream.seed % 1000 + len(stream.path))
+    tails = g.integers(0, 2**32, size=(160, 2))
+    tails[:4] = [[0, 0], [1, 9], [2**32 - 1, 0], [0, 2**32 - 1]]
+    for keys in (tails, tails[:, :1]):
+        got = stream._pcg64_states(keys)
+        for row, (state, inc) in zip(keys.tolist(), got):
+            want = stream.substream(*row).generator().bit_generator.state
+            assert want["state"] == {"state": state, "inc": inc}, row
+    # 16 streams x 320 keys: 5120 keys in all.
+
+
+def test_bulk_seeding_refuses_keys_past_one_word():
+    with pytest.raises(ValueError, match="0..2"):
+        RngStream(1)._pcg64_states(np.array([[2**32]]))
+    with pytest.raises(ValueError, match="non-negative"):
+        RngStream(-1)._pcg64_states(np.array([[0]]))
+
+
+@pytest.mark.parametrize("stream", SEED_STREAMS[::5], ids=repr)
+def test_restart_draws_match_a_generator_per_restart(stream):
+    # integers(m) with m - 1 below 2^32 draws 32 bits and keeps the other
+    # half of its 64-bit word buffered; the next restart's state must drop
+    # it. m = 2^31 + 1 rejects about half of its draws (Lemire), and
+    # 2^32 + 1 and 2^40 draw 64 bits.
+    sizes = np.array([3, 17, 1000, 2**31 + 1, 2**32, 2**32 + 1, 2**40])
+    g = stream.generator()
+    g.integers(3)
+    assert g.bit_generator.state["has_uint32"] == 1
+    keys = np.arange(len(sizes))[:, None] * 7
+    restarts = 12
+    first, draws = _restart_draws(stream, keys, sizes, restarts)
+    for k, m in enumerate(sizes.tolist()):
+        for r in range(restarts):
+            g = stream.substream(int(keys[k, 0]), r).generator()
+            assert first[k * restarts + r] == g.integers(m)
+            assert float.hex(float(draws[k * restarts + r])) == float.hex(g.random())

@@ -173,6 +173,17 @@ def test_python_m_hierclust_runs_the_cli(line_csv):
     assert proc.stderr == ""
 
 
+def test_python_m_hierclust_help_is_clean():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hierclust.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hierclust", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "usage" in proc.stdout
+
+
 def test_synth_writes_points(capsys, tmp_path):
     out_file = tmp_path / "pts.csv"
     code, _, _ = run(

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from hierclust import (
     ExperimentConfig,
     GaussianMixtureSpec,
     IngestOptions,
+    PointSet,
     RandomBadInstanceSpec,
     RngStream,
     StatsRow,
@@ -59,6 +62,83 @@ def test_ingest_explicit_columns_reject_bad_rows(tmp_path):
     result2 = ingest_csv_report(str(path), IngestOptions(columns=(0, 1)))
     assert result2.rejected_rows == (1, 3)
     assert result2.points.n == 1
+
+
+def _reference_ingest_csv_report(path, options=IngestOptions()):
+    """The per-cell parser that `ingest_csv_report` replaced: one float() call per cell."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh, delimiter=options.delimiter))
+    first_data_line = 1
+    if options.skip_header:
+        rows = rows[1:]
+        first_data_line = 2
+    rows = [r for r in rows if r]
+    width = len(rows[0])
+
+    def parse_cell(cell):
+        try:
+            return float(cell)
+        except ValueError:
+            return None
+
+    parsed = [[parse_cell(c) for c in row] for row in rows]
+    if options.columns is None:
+        used = tuple(
+            j for j in range(width) if all(parsed[k][j] is not None for k in range(len(rows)))
+        )
+        dropped = tuple(j for j in range(width) if j not in used)
+        data = [[parsed[k][j] for j in used] for k in range(len(rows))]
+        rejected = ()
+    else:
+        used = tuple(int(j) for j in options.columns)
+        dropped = ()
+        data = []
+        bad = []
+        for k in range(len(rows)):
+            values = [parsed[k][j] for j in used]
+            if any(v is None for v in values):
+                bad.append(first_data_line + k)
+            else:
+                data.append(values)
+        rejected = tuple(bad)
+    return PointSet(np.array(data, dtype=np.float64)), used, dropped, rejected
+
+
+INGEST_CASES = {
+    "plain": ("1.0,2.0\n3.0,4.0\n", IngestOptions()),
+    "header": ("x,y,z\n1,2,3\n4,5,6\n", IngestOptions(skip_header=True)),
+    "text_columns": ("1.0,red,2.0,x\n3.0,blue,4.0,5\n6,7,8,9\n", IngestOptions()),
+    "spaces_and_underscores": (" 1.5 ,1_0,-0\n2e3, -4 ,+7\n", IngestOptions()),
+    "selected_with_rejects": (
+        "1.0,a,2\n2.0,3.0,x\nbad,4.0,5\n6,7,8\n", IngestOptions(columns=(0, 2))
+    ),
+    "selected_repeated": ("1,2\n3,oops\n5,6\n", IngestOptions(columns=(0, 0, 1))),
+    "selected_all": ("1,2\n3,oops\n5,6\n", IngestOptions(columns=(0, 1))),
+    "header_rejects": (
+        "a;b\n1;2\n;4\n5;6\n", IngestOptions(columns=(0, 1), skip_header=True, delimiter=";")
+    ),
+    "nan_inf_unselected": ("1,nan,q\n2,inf,r\n3,-inf,s\n", IngestOptions(columns=(0,))),
+    "nan_kept": ("nan,1\n2,3\n", IngestOptions()),
+    "inf_kept": ("1,-inf\n2,3\n", IngestOptions(columns=(1,))),
+    "infinity_text": ("Infinity,1\n2,NaN\n", IngestOptions()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INGEST_CASES))
+def test_ingest_matches_per_cell_parser(tmp_path, name):
+    text, options = INGEST_CASES[name]
+    path = tmp_path / "pts.csv"
+    path.write_text(text)
+    try:
+        want = _reference_ingest_csv_report(str(path), options)
+    except ValueError as exc:  # non-finite coordinates
+        with pytest.raises(ValueError, match=str(exc)):
+            ingest_csv_report(str(path), options)
+        return
+    got = ingest_csv_report(str(path), options)
+    assert got.points.coords.tobytes() == want[0].coords.tobytes()
+    assert got.points.coords.shape == want[0].coords.shape
+    assert (got.used_columns, got.dropped_columns, got.rejected_rows) == want[1:]
 
 
 def test_ingest_errors(tmp_path):
