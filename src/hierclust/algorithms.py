@@ -6,12 +6,12 @@ Four builders, all emitting the same dendrogram type:
   either exactly (every bipartition enumerated) or by restarted Lloyd
   iterations seeded with k-means++. The tree grows one depth at a time, and
   the restarts of a node run as one batched array pass together with those
-  of every other node of its depth and size; each restart leaves the batch
-  when its own centers stop moving. The tolerance scales with the node's
-  diameter, which is bracketed in [r, 2r] by the largest distance r from
-  the node's first point and computed exactly only when a move falls
-  inside the bracket. A 2-point node takes its only split without running
-  Lloyd.
+  of every other node of its depth whose size is within a factor of two;
+  each restart leaves the batch when its own centers stop moving. The
+  tolerance scales with the node's diameter, which is bracketed in [r, 2r]
+  by the largest distance r from the node's first point and computed
+  exactly only when a move falls inside the bracket. A 2-point node takes
+  its only split without running Lloyd.
 * average_linkage / single_linkage -- agglomerative over a distance matrix,
   merging the pair of clusters with minimum mean / minimum single
   inter-cluster distance. Each row caches its nearest live partner and a
@@ -290,8 +290,8 @@ def _batch_blocks(runs: int, rows: int, width: int) -> Iterator[Tuple[slice, sli
 def _squared_distances(pts: np.ndarray, owner: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """out[r, i, k]: squared distance from pts[owner[r], i] to centers[r, k].
 
-    `pts` holds one (m, dim) point set per node; a single node is broadcast
-    to every run rather than copied for each. Each entry sums its squared
+    `pts` holds one (rows, dim) block of points per node; a single node is
+    broadcast to every run rather than copied for each. Each entry sums its squared
     differences over the last axis, as one (m, k, dim) difference would, so
     it matches that bit for bit. The difference is one expression, so no
     name holds a block while the next one is made.
@@ -305,25 +305,28 @@ def _squared_distances(pts: np.ndarray, owner: np.ndarray, centers: np.ndarray) 
 
 
 def _side_centroids(
-    pts: np.ndarray, owner: np.ndarray, side: np.ndarray, ones: np.ndarray
+    pts: np.ndarray, owner: np.ndarray, side: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
-    """out[r, k]: pts[owner[r]][side[r] == k].mean(axis=0), bit for bit; `ones` counts side 1.
+    """out[r, k]: the mean of run r's side-k rows of pts[owner[r]], bit for bit.
 
-    numpy sums the rows of a selection of two or more columns one after
-    another, starting from 0.0, and np.bincount adds its weights to their
-    bins one after another from 0.0 as well. So one bincount sums every
-    (restart, side, column) of a block, and a row block after the first
-    enters its restarts' running sums ahead of its own rows. A single
-    column is summed pairwise instead, as `_side_totals` sums it.
+    `side` holds 0 or 1 for every row, 0 for padding rows, which are all
+    zero; `counts` (runs, 2) counts each side's real rows. numpy sums the
+    rows of a selection of two or more columns one after another, starting
+    from 0.0, and np.bincount adds its weights to their bins one after
+    another from 0.0 as well, and adding a zero row changes no such sum. So
+    one bincount sums every (restart, side, column) of a block, and a row
+    block after the first enters its restarts' running sums ahead of its
+    own rows. A single column is summed pairwise instead, as `_side_totals`
+    sums it, with the padding rows in a segment of their own.
     """
-    runs, m = side.shape
+    runs, width = side.shape
     dim = pts.shape[2]
-    counts = np.stack([m - ones, ones], axis=1)[:, :, None]
     if dim == 1:
-        return _side_totals(pts, owner, side)[:, :, None] / counts
+        pad = np.arange(width) >= counts.sum(axis=1)[:, None]
+        return _side_totals(pts, owner, np.where(pad, 2, side))[:, :2, None] / counts[:, :, None]
     sums = np.zeros((runs, 2, dim))
     bins = 2 * np.arange(runs)[:, None] + side
-    for rs, ss in _batch_blocks(runs, m, 2 * dim):
+    for rs, ss in _batch_blocks(runs, width, 2 * dim):
         block = bins[rs, ss] - 2 * rs.start
         # Weights in (restart, row, column) order; one node is broadcast.
         if len(pts) == 1:
@@ -336,72 +339,80 @@ def _side_centroids(
             weights = np.concatenate((sums[rs].ravel(), weights))
         sums[rs] = np.bincount(block, weights, sums[rs].size).reshape(-1, 2, dim)
         del block, weights  # freed before the next block is made
-    return sums / counts
+    return sums / counts[:, :, None]
 
 
 def _side_totals(
     pts: np.ndarray, owner: np.ndarray, side: np.ndarray, centers: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """out[r, k]: `.sum()` of run r's side-k rows, or of their squared differences from centers[r, k].
+    """out[r, k]: `.sum()` of run r's side-k rows (or their squared differences from centers[r, k]).
 
-    numpy sums a contiguous array, or a single column, pairwise, starting
-    from 0.0, and np.add.reduceat over a segment that starts with 0.0 adds
-    the same. So a block of runs lays out, for each run, 0.0, its side-0
-    rows, 0.0 and its side-1 rows, every side in point order and flattened,
-    and one reduceat sums them all.
+    `side` is 0, 1 or, for padding rows, 2. numpy sums a contiguous array,
+    or a single column, pairwise, starting from 0.0, and np.add.reduceat
+    over a segment that starts with 0.0 adds the same. So a block of runs
+    lays out, for each run, 0.0 and its side-0 rows, 0.0 and its side-1
+    rows, and 0.0 and its padding rows, every side in point order and
+    flattened, and one reduceat sums them all. Only sides 0 and 1 matter.
     """
-    runs, m = side.shape
+    runs, width = side.shape
     dim = pts.shape[2]
-    width = m * dim + 2
-    zeros = m - side.sum(axis=1)
-    out = np.empty((runs, 2))
-    # A block holds two (runs, m, dim) temporaries at a time.
-    step = max(1, _BATCH_ENTRIES // (2 * width))
+    span = width * dim + 3
+    out = np.empty((runs, 3))
+    # A block holds two (runs, width, dim) temporaries at a time.
+    step = max(1, _BATCH_ENTRIES // (2 * span))
     for a in range(0, runs, step):
         rs = slice(a, a + step)
         order = np.argsort(side[rs], axis=1, kind="stable")
         values = pts[0][order] if len(pts) == 1 else pts[owner[rs, None], order]
         if centers is not None:
-            sorted_side = np.take_along_axis(side[rs], order, axis=1)
+            sorted_side = np.minimum(np.take_along_axis(side[rs], order, axis=1), 1)
             values -= np.take_along_axis(centers[rs], sorted_side[:, :, None], axis=1)
             values *= values
-        gaps = np.arange(len(values)) * width
-        cut = gaps + zeros[rs] * dim + 1
-        row = np.zeros(len(values) * width)
+        gaps = np.arange(len(values)) * span
+        zeros = (side[rs] == 0).sum(axis=1)
+        real = (side[rs] < 2).sum(axis=1)
+        # A run's three segments start at its three 0.0 slots.
+        cuts = np.column_stack((gaps, gaps + zeros * dim + 1, gaps + real * dim + 2)).ravel()
+        row = np.zeros(len(values) * span)
         keep = np.ones(len(row), dtype=bool)
-        keep[gaps] = False
-        keep[cut] = False
+        keep[cuts] = False
         row[keep] = values.ravel()
         del values, keep
-        out[rs] = np.add.reduceat(row, np.column_stack((gaps, cut)).ravel()).reshape(-1, 2)
-    return out
+        out[rs] = np.add.reduceat(row, cuts).reshape(-1, 3)
+    return out[:, :2]
 
 
-def _move_test(pts: np.ndarray, tol: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Return a test of `move <= tol * diameter(pts[node])` for arrays of nodes and moves.
+def _move_test(
+    pts: np.ndarray, sizes: np.ndarray, tol: float
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Return a test of `move <= tol * diameter(node)` for arrays of nodes and moves.
 
-    With r the largest distance from a node's first point, its diameter
-    lies in [r, 2r]. r is one of the distances the diameter is the maximum
-    of, so a move up to tol * r passes. A move above tol * 2r fails once 2r
-    is widened by (dim + 4) * 2^-50, more than twice the relative rounding
-    error of a computed distance. Only a move in between computes the exact
-    O(m^2 dim) diameter of its node, once per node.
+    Node k is the first sizes[k] rows of pts[k]. With r the largest
+    distance from a node's first point, its diameter lies in [r, 2r]. r is
+    one of the distances the diameter is the maximum of, so a move up to
+    tol * r passes. A move above tol * 2r fails once 2r is widened by
+    (dim + 4) * 2^-50, more than twice the relative rounding error of a
+    computed distance. Only a move in between computes the exact O(m^2 dim)
+    diameter of its node, once per node.
     """
-    count, _, dim = pts.shape
+    count, width, dim = pts.shape
+    d2 = _squared_distances(pts, np.arange(count), pts[:, :1])[:, :, 0]
+    d2[np.arange(width) >= sizes[:, None]] = 0.0
     # sqrt is monotone, so the largest distance is the root of the largest square.
-    r = np.sqrt(_squared_distances(pts, np.arange(count), pts[:, :1]).max(axis=(1, 2)))
+    r = np.sqrt(d2.max(axis=1))
     low = tol * r
     in_range = (_BRACKET_RANGE[0] <= r) & (r <= _BRACKET_RANGE[1])
     high = np.where(in_range, tol * (2.0 * r) * (1.0 + (dim + 4) * 2.0**-50), np.inf)
     diameter = {}
 
-    def passes(owner: np.ndarray, move: np.ndarray) -> np.ndarray:
-        done = move <= low[owner]
-        for j in np.flatnonzero(~done & (move <= high[owner])).tolist():
-            k = int(owner[j])
+    def passes(node: np.ndarray, move: np.ndarray) -> np.ndarray:
+        done = move <= low[node]
+        for j in np.flatnonzero(~done & (move <= high[node])).tolist():
+            k = int(node[j])
             if k not in diameter:
+                own = pts[k, : sizes[k]]
                 # The maximum over row blocks is exact: sqrt is monotone.
-                diameter[k] = max(float(b.max()) for _, b in _distance_blocks(pts[k], pts[k]))
+                diameter[k] = max(float(b.max()) for _, b in _distance_blocks(own, own))
             done[j] = move[j] <= tol * diameter[k]
         return done
 
@@ -438,54 +449,69 @@ def _restart_draws(
 
 def _lloyd_batch(
     coords: np.ndarray,
-    nodes: np.ndarray,
+    nodes: List[np.ndarray],
     config: TwoMeansSolverConfig,
     first: np.ndarray,
     draws: np.ndarray,
 ) -> List[Sides]:
-    """Best of `lloyd_restarts` k-means++ seeded Lloyd runs for each row of `nodes`.
+    """Best of `lloyd_restarts` k-means++ seeded Lloyd runs for each of `nodes`.
 
-    `nodes` is a (K, m) array, m >= 3, whose rows are ascending index
-    sets. Run k * restarts + r is restart r of row k; `first` and `draws`
-    are its `integers(m)` and `random()` draws (`_restart_draws`). All runs
-    go as one batch, and each leaves it when its node's move test passes;
-    a node's first restart with the lowest cost wins. Splits and costs are
-    bit for bit those of running each restart alone: the rows share one
-    size, so every k-means++ total sums over its own node's m points, as a
-    lone restart sums it. Restart and row blocks cap
-    every batch temporary at `_BATCH_ENTRIES` entries (about 32 MB), or at
-    one row when a single row is wider.
+    Every node is an ascending index array of at least three points. Run
+    k * restarts + r is restart r of node k; `first` and `draws` are its
+    `integers(m)` and `random()` draws (`_restart_draws`). All runs go as
+    one batch, and each leaves it when its node's move test passes; a
+    node's first restart with the lowest cost wins. Splits and costs are
+    bit for bit those of running each restart alone.
+
+    Nodes may differ in size: each is padded with zero rows to the largest,
+    and every step leaves the padding out exactly. A k-means++ total is
+    summed over the (runs, m) seed distances of the nodes of one size m, as
+    a lone restart sums it. A padding row joins side 0 with weight zero in
+    the centroid sums, and a segment of its own in `_side_totals`. Restart
+    and row blocks cap every batch temporary at `_BATCH_ENTRIES` entries
+    (about 32 MB), or at one row when a single row is wider.
     """
-    count, m = nodes.shape
     restarts = config.lloyd_restarts
-    pts = coords[nodes]
-    owner = np.repeat(np.arange(count), restarts)
+    sizes = np.array([len(ids) for ids in nodes])
+    width = int(sizes.max())
+    rows = np.arange(width)
+    pad = rows >= sizes[:, None]
+    pts = np.zeros((len(nodes), width, coords.shape[1]))
+    pts[~pad] = coords[np.concatenate(nodes)]
+    owner = np.repeat(np.arange(len(nodes)), restarts)
     starts = pts[owner, first]
     seed_d2 = _squared_distances(pts, owner, starts[:, None, :])[:, :, 0]
-    totals = seed_d2.sum(axis=1)
-    # The second seed is g.choice(m, p=d2 / total), drawn as Generator.choice
-    # draws it: one g.random(), counted against the normalized cumulative
-    # sum of p. A restart whose points all sit on its first seed takes point 0.
-    cdf = np.cumsum(seed_d2 / np.where(totals == 0.0, 1.0, totals)[:, None], axis=1)
-    cdf /= np.where(totals == 0.0, 1.0, cdf[:, -1])[:, None]
-    second = np.where(totals == 0.0, 0, (cdf <= draws[:, None]).sum(axis=1))
+    second = np.empty(len(owner), dtype=np.intp)
+    for m in np.unique(sizes).tolist():
+        same = np.flatnonzero(sizes[owner] == m)
+        d2 = seed_d2[same, :m]
+        totals = d2.sum(axis=1)
+        # The second seed is g.choice(m, p=d2 / total), drawn as
+        # Generator.choice draws it: one g.random(), counted against the
+        # normalized cumulative sum of p. A restart whose points all sit on
+        # its first seed takes point 0.
+        cdf = np.cumsum(d2 / np.where(totals == 0.0, 1.0, totals)[:, None], axis=1)
+        cdf /= np.where(totals == 0.0, 1.0, cdf[:, -1])[:, None]
+        second[same] = np.where(totals == 0.0, 0, (cdf <= draws[same, None]).sum(axis=1))
     centers = np.stack([starts, pts[owner, second]], axis=1)
-    assign = np.zeros((len(owner), m), dtype=np.intp)
-    converged = _move_test(pts, config.lloyd_tol)
+    assign = np.zeros((len(owner), width), dtype=np.intp)
+    converged = _move_test(pts, sizes, config.lloyd_tol)
     live = np.arange(len(owner))
-    rows = np.arange(m)
     for _ in range(config.lloyd_max_iters):
         node = owner[live]
         old = centers[live]
         dist2 = _squared_distances(pts, node, old)
-        side = dist2.argmin(axis=2)
+        # argmin over the two centers: side 1 only when strictly nearer.
+        side = (dist2[:, :, 1] < dist2[:, :, 0]).astype(np.intp)
+        side[pad[node]] = 0
         ones = side.sum(axis=1)
-        for k in np.flatnonzero((ones == 0) | (ones == m)).tolist():
-            own = dist2[k, rows, side[k]]
+        for k in np.flatnonzero((ones == 0) | (ones == sizes[node])).tolist():
+            own = np.where(pad[node[k]], -np.inf, dist2[k, rows, side[k]])
             side[k, int(own.argmax())] = 1 if ones[k] == 0 else 0
             ones[k] += 1 if ones[k] == 0 else -1
-        new = _side_centroids(pts, node, side, ones)
-        move = np.sqrt(((new - old) ** 2).sum(axis=2)).max(axis=1)
+        new = _side_centroids(pts, node, side, np.stack([sizes[node] - ones, ones], axis=1))
+        shift = np.sqrt(((new - old) ** 2).sum(axis=2))
+        move = np.maximum(shift[:, 0], shift[:, 1])
         centers[live] = new
         assign[live] = side
         live = live[~converged(node, move)]
@@ -493,12 +519,13 @@ def _lloyd_batch(
             break
     # A restart's centers are the means of its final sides, so the squared
     # differences from them sum to `_one_means_cost` of each side.
-    sides = _side_totals(pts, owner, assign, centers)
-    cost = (sides[:, 0] + sides[:, 1]).reshape(count, restarts)
-    best = cost.argmin(axis=1)
+    sides = _side_totals(pts, owner, np.where(pad[owner], 2, assign), centers)
+    cost = (sides[:, 0] + sides[:, 1]).reshape(len(nodes), restarts)
+    best = assign[cost.argmin(axis=1) + restarts * np.arange(len(nodes))]
     out: List[Sides] = []
-    for ids, row, value in zip(nodes, assign[best + restarts * np.arange(count)], cost.min(axis=1)):
-        out.append((*_ordered_split(ids[row == 0], ids[row == 1]), float(value)))
+    for ids, row, value in zip(nodes, best, cost.min(axis=1).tolist()):
+        row = row[: len(ids)]
+        out.append((*_ordered_split(ids[row == 0], ids[row == 1]), value))
     return out
 
 
@@ -513,7 +540,7 @@ def _lloyd_two_means(
         return ids[:1], ids[1:], 0.0
     no_keys = np.empty((1, 0), dtype=np.int64)
     first, draws = _restart_draws(rng, no_keys, np.array([len(ids)]), config.lloyd_restarts)
-    return _lloyd_batch(coords, ids[None, :], config, first, draws)[0]
+    return _lloyd_batch(coords, [ids], config, first, draws)[0]
 
 
 def _solve_two_means(
@@ -572,11 +599,12 @@ def bisecting_kmeans(points: PointSet, config: TwoMeansSolverConfig) -> HierTree
     v + |left| to its right one, before either subtree is built. The tree
     therefore grows one depth at a time, and restart r of every node still
     seeds from `RngStream(seed).substream(v, r)`. The Lloyd solver runs
-    all nodes of one depth and one size as a single batch (each restart
-    seeds from its own substream and stops on its own node's move test),
-    and a 2-point node takes its only split without drawing; the
-    exhaustive solver takes the nodes one by one. The finished splits are
-    assembled depth-first, so node ids are those of a depth-first build.
+    the nodes of one depth whose sizes share a power-of-two bracket
+    [2^(e-1), 2^e) as a single batch (each restart seeds from its own
+    substream and stops on its own node's move test), and a 2-point node
+    takes its only split without drawing; the exhaustive solver takes the
+    nodes one by one. The finished splits are assembled depth-first, so
+    node ids are those of a depth-first build.
 
     Both solvers work on the coordinates scaled by the power of two that
     brings the largest magnitude into [0.5, 1). The scale is exact, so it
@@ -597,10 +625,12 @@ def bisecting_kmeans(points: PointSet, config: TwoMeansSolverConfig) -> HierTree
             visits = np.array([v for v, _ in frontier], dtype=np.int64)
             sizes = np.array([len(ids) for _, ids in frontier], dtype=np.intp)
             first, draws = _restart_draws(base, visits[:, None], sizes, restarts)
-            for m in np.unique(sizes).tolist():
-                group = np.flatnonzero(sizes == m)
+            # Sizes within a factor of two share a batch, padded to the largest.
+            scale = np.frexp(sizes)[1]
+            for e in np.unique(scale).tolist():
+                group = np.flatnonzero(scale == e)
                 runs = (group[:, None] * restarts + np.arange(restarts)).ravel()
-                nodes = np.stack([frontier[k][1] for k in group.tolist()])
+                nodes = [frontier[k][1] for k in group.tolist()]
                 sides = _lloyd_batch(coords, nodes, config, first[runs], draws[runs])
                 solved += zip(visits[group].tolist(), sides)
         else:
