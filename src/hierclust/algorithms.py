@@ -5,13 +5,17 @@ Four builders, all emitting the same dendrogram type:
 * bisecting_kmeans -- divisive; recursively applies a 2-means split, solved
   either exactly (every bipartition enumerated) or by restarted Lloyd
   iterations seeded with k-means++. The tree grows one depth at a time, and
-  the restarts of a node run as one batched array pass together with those
-  of every other node of its depth whose size is within a factor of two;
-  each restart leaves the batch when its own centers stop moving. The
-  tolerance scales with the node's diameter, which is bracketed in [r, 2r]
-  by the largest distance r from the node's first point and computed
-  exactly only when a move falls inside the bracket. A 2-point node takes
-  its only split without running Lloyd.
+  each depth's nodes go to one 2-means entry, `_split_nodes`, as
+  `two_means` sends its single node. There the restarts of a node run as
+  one batched array pass together with those of every other node whose
+  size is within a factor of two; each restart leaves the batch when its
+  own centers stop moving. The tolerance scales with the node's diameter,
+  which is bracketed in [r, 2r] by the largest distance r from the node's
+  first point and computed exactly only when a move falls inside the
+  bracket. A 2-point node takes its only split without running Lloyd.
+  The batch sums as a lone restart would, through `metricspace`'s
+  `_segment_sums` and `_group_sums`, so its splits and costs are bit for
+  bit those of one restart at a time.
 * average_linkage / single_linkage -- agglomerative over a distance matrix,
   merging the pair of clusters with minimum mean / minimum single
   inter-cluster distance. Each row caches its nearest live partner and a
@@ -37,12 +41,15 @@ from typing import Callable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from .hiertree import HierTree, Split, _bipartitions, _divide
+from .metricspace import _BLOCK_ENTRIES as _BATCH_ENTRIES
 from .metricspace import (
     DistanceMatrix,
     PointSet,
     _distance_blocks,
+    _group_sums,
     _index_array,
     _one_means_cost,
+    _segment_sums,
     _unit_exponent,
     _unit_scaled,
 )
@@ -262,11 +269,6 @@ def _exhaustive_two_means(coords: np.ndarray, ids: np.ndarray) -> Sides:
     return side1, side2, float(cost)
 
 
-# Entries of one temporary of the batched Lloyd pass (a difference, the
-# weights of a centroid bincount, a block of side totals): about 32 MB of
-# float64, the cap `_distance_blocks` uses.
-_BATCH_ENTRIES = 4_000_000
-
 # `_move_test` trusts its upper bound 2r only for r in this range. There no
 # squared distance up to (2r)^2 overflows, and what a square loses to
 # underflow is far below its rounding error; outside it, every move above
@@ -274,17 +276,14 @@ _BATCH_ENTRIES = 4_000_000
 _BRACKET_RANGE = (2.0**-460, 2.0**500)
 
 
-def _batch_blocks(runs: int, rows: int, width: int) -> Iterator[Tuple[slice, slice]]:
-    """Cover (runs x rows) by (restart slice, row slice) blocks, rows inner.
+def _run_blocks(runs: int, entries: int) -> Iterator[slice]:
+    """Slices of the runs of a batch, `entries` temporary entries per run.
 
-    A block holds at most `_BATCH_ENTRIES` entries at `width` entries per
-    (restart, row), or one row when a single row is wider than that.
+    A block holds at most `_BATCH_ENTRIES` entries, or one run when a
+    single run is wider than that.
     """
-    row_step = max(1, min(rows, _BATCH_ENTRIES // width))
-    run_step = max(1, _BATCH_ENTRIES // (row_step * width))
-    for a in range(0, runs, run_step):
-        for s in range(0, rows, row_step):
-            yield slice(a, a + run_step), slice(s, s + row_step)
+    step = max(1, _BATCH_ENTRIES // entries)
+    return (slice(a, a + step) for a in range(0, runs, step))
 
 
 def _squared_distances(pts: np.ndarray, owner: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -298,88 +297,50 @@ def _squared_distances(pts: np.ndarray, owner: np.ndarray, centers: np.ndarray) 
     """
     runs, k, dim = centers.shape
     out = np.empty((runs, pts.shape[1], k))
-    for rs, ss in _batch_blocks(runs, pts.shape[1], k * dim):
-        own = pts[:, ss] if len(pts) == 1 else pts[owner[rs], ss]
-        out[rs, ss] = ((own[:, :, None, :] - centers[rs, None, :, :]) ** 2).sum(axis=3)
+    for rs in _run_blocks(runs, pts.shape[1] * k * dim):
+        own = pts if len(pts) == 1 else pts[owner[rs]]
+        out[rs] = ((own[:, :, None, :] - centers[rs, None, :, :]) ** 2).sum(axis=3)
     return out
 
 
-def _side_centroids(
-    pts: np.ndarray, owner: np.ndarray, side: np.ndarray, counts: np.ndarray
+def _side_sums(
+    pts: np.ndarray,
+    owner: np.ndarray,
+    side: np.ndarray,
+    pad: np.ndarray,
+    centers: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """out[r, k]: the mean of run r's side-k rows of pts[owner[r]], bit for bit.
+    """Sums over each run's two sides, each as numpy sums that side alone.
 
-    `side` holds 0 or 1 for every row, 0 for padding rows, which are all
-    zero; `counts` (runs, 2) counts each side's real rows. numpy sums the
-    rows of a selection of two or more columns one after another, starting
-    from 0.0, and np.bincount adds its weights to their bins one after
-    another from 0.0 as well, and adding a zero row changes no such sum. So
-    one bincount sums every (restart, side, column) of a block, and a row
-    block after the first enters its restarts' running sums ahead of its
-    own rows. A single column is summed pairwise instead, as `_side_totals`
-    sums it, with the padding rows in a segment of their own.
+    Run r's rows are pts[owner[r]]; `side` puts each row in side 0 or 1,
+    and `pad`, node k's padding rows in pad[k], keeps padding out of every
+    sum. Without `centers`, out[r, k] is `.sum(axis=0)` of run r's side-k
+    rows, shape (runs, 2, dim). With them, out[r, k] is the `.sum()` of
+    those rows' squared differences from centers[r, k], shape (runs, 2), as
+    `_one_means_cost` sums them: the rows laid end to end, in point order.
+    A block of runs holds about three temporaries of its rows.
     """
     runs, width = side.shape
     dim = pts.shape[2]
-    if dim == 1:
-        pad = np.arange(width) >= counts.sum(axis=1)[:, None]
-        return _side_totals(pts, owner, np.where(pad, 2, side))[:, :2, None] / counts[:, :, None]
-    sums = np.zeros((runs, 2, dim))
-    bins = 2 * np.arange(runs)[:, None] + side
-    for rs, ss in _batch_blocks(runs, width, 2 * dim):
-        block = bins[rs, ss] - 2 * rs.start
-        # Weights in (restart, row, column) order; one node is broadcast.
-        if len(pts) == 1:
-            weights = np.broadcast_to(pts[0, ss], (*block.shape, dim)).ravel()
-        else:
-            weights = pts[owner[rs], ss].ravel()
-        block = ((block * dim)[:, :, None] + np.arange(dim)).ravel()
-        if ss.start > 0:
-            block = np.concatenate((np.arange(sums[rs].size), block))
-            weights = np.concatenate((sums[rs].ravel(), weights))
-        sums[rs] = np.bincount(block, weights, sums[rs].size).reshape(-1, 2, dim)
-        del block, weights  # freed before the next block is made
-    return sums / counts[:, :, None]
-
-
-def _side_totals(
-    pts: np.ndarray, owner: np.ndarray, side: np.ndarray, centers: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """out[r, k]: `.sum()` of run r's side-k rows (or their squared differences from centers[r, k]).
-
-    `side` is 0, 1 or, for padding rows, 2. numpy sums a contiguous array,
-    or a single column, pairwise, starting from 0.0, and np.add.reduceat
-    over a segment that starts with 0.0 adds the same. So a block of runs
-    lays out, for each run, 0.0 and its side-0 rows, 0.0 and its side-1
-    rows, and 0.0 and its padding rows, every side in point order and
-    flattened, and one reduceat sums them all. Only sides 0 and 1 matter.
-    """
-    runs, width = side.shape
-    dim = pts.shape[2]
-    span = width * dim + 3
-    out = np.empty((runs, 3))
-    # A block holds two (runs, width, dim) temporaries at a time.
-    step = max(1, _BATCH_ENTRIES // (2 * span))
-    for a in range(0, runs, step):
-        rs = slice(a, a + step)
-        order = np.argsort(side[rs], axis=1, kind="stable")
-        values = pts[0][order] if len(pts) == 1 else pts[owner[rs, None], order]
-        if centers is not None:
-            sorted_side = np.minimum(np.take_along_axis(side[rs], order, axis=1), 1)
-            values -= np.take_along_axis(centers[rs], sorted_side[:, :, None], axis=1)
-            values *= values
-        gaps = np.arange(len(values)) * span
-        zeros = (side[rs] == 0).sum(axis=1)
-        real = (side[rs] < 2).sum(axis=1)
-        # A run's three segments start at its three 0.0 slots.
-        cuts = np.column_stack((gaps, gaps + zeros * dim + 1, gaps + real * dim + 2)).ravel()
-        row = np.zeros(len(values) * span)
-        keep = np.ones(len(row), dtype=bool)
-        keep[cuts] = False
-        row[keep] = values.ravel()
-        del values, keep
-        out[rs] = np.add.reduceat(row, cuts).reshape(-1, 3)
-    return out[:, :2]
+    out = np.empty((runs, 2, dim) if centers is None else (runs, 2))
+    for rs in _run_blocks(runs, 3 * width * dim):
+        count = len(side[rs])
+        # Group 2j + k is side k of the block's j-th run; padding is group 2 * count.
+        group = np.where(pad[owner[rs]], 2 * count, side[rs] + 2 * np.arange(count)[:, None])
+        rows = pts[owner[rs]]
+        if centers is None:
+            sums = _group_sums(rows.reshape(-1, dim), group.ravel(), 2 * count)
+            out[rs] = sums.reshape(count, 2, dim)
+            continue
+        rows -= centers[rs][np.arange(count)[:, None], side[rs]]
+        rows *= rows
+        # Rows are sorted by group, not their entries one by one as
+        # `_group_sums` would sort a single column: dim times fewer keys.
+        order = np.argsort(group, axis=None, kind="stable")
+        lengths = np.bincount(group.ravel(), minlength=2 * count + 1)[:-1]
+        values = rows.reshape(-1, dim)[order[: lengths.sum()]].ravel()
+        out[rs] = _segment_sums(values, lengths * dim).reshape(count, 2)
+    return out
 
 
 def _move_test(
@@ -464,12 +425,11 @@ def _lloyd_batch(
     bit for bit those of running each restart alone.
 
     Nodes may differ in size: each is padded with zero rows to the largest,
-    and every step leaves the padding out exactly. A k-means++ total is
-    summed over the (runs, m) seed distances of the nodes of one size m, as
-    a lone restart sums it. A padding row joins side 0 with weight zero in
-    the centroid sums, and a segment of its own in `_side_totals`. Restart
-    and row blocks cap every batch temporary at `_BATCH_ENTRIES` entries
-    (about 32 MB), or at one row when a single row is wider.
+    and every sum leaves the padding out. A run's k-means++ total is
+    `_segment_sums` of its own seed distances, and its side sums come from
+    `_side_sums`, each as a lone restart sums it. Blocks of runs cap every
+    batch temporary at `_BATCH_ENTRIES` entries (about 32 MB), or at a few
+    times a node's points when a single run is wider.
     """
     restarts = config.lloyd_restarts
     sizes = np.array([len(ids) for ids in nodes])
@@ -481,18 +441,17 @@ def _lloyd_batch(
     owner = np.repeat(np.arange(len(nodes)), restarts)
     starts = pts[owner, first]
     seed_d2 = _squared_distances(pts, owner, starts[:, None, :])[:, :, 0]
-    second = np.empty(len(owner), dtype=np.intp)
-    for m in np.unique(sizes).tolist():
-        same = np.flatnonzero(sizes[owner] == m)
-        d2 = seed_d2[same, :m]
-        totals = d2.sum(axis=1)
-        # The second seed is g.choice(m, p=d2 / total), drawn as
-        # Generator.choice draws it: one g.random(), counted against the
-        # normalized cumulative sum of p. A restart whose points all sit on
-        # its first seed takes point 0.
-        cdf = np.cumsum(d2 / np.where(totals == 0.0, 1.0, totals)[:, None], axis=1)
-        cdf /= np.where(totals == 0.0, 1.0, cdf[:, -1])[:, None]
-        second[same] = np.where(totals == 0.0, 0, (cdf <= draws[same, None]).sum(axis=1))
+    real = ~pad[owner]
+    totals = _segment_sums(seed_d2[real], sizes[owner])
+    # The second seed is g.choice(m, p=d2 / total), drawn as Generator.choice
+    # draws it: one g.random(), counted against the normalized cumulative sum
+    # of p. Padding trails a run's m rows and is set to 0.0, so it joins no
+    # prefix of the sum, and its normalized entries are 1.0, above every
+    # draw. A restart whose points all sit on its first seed takes point 0.
+    seed_d2[~real] = 0.0
+    cdf = np.cumsum(seed_d2 / np.where(totals == 0.0, 1.0, totals)[:, None], axis=1)
+    cdf /= np.where(totals == 0.0, 1.0, cdf[:, -1])[:, None]
+    second = np.where(totals == 0.0, 0, (cdf <= draws[:, None]).sum(axis=1))
     centers = np.stack([starts, pts[owner, second]], axis=1)
     assign = np.zeros((len(owner), width), dtype=np.intp)
     converged = _move_test(pts, sizes, config.lloyd_tol)
@@ -509,7 +468,8 @@ def _lloyd_batch(
             own = np.where(pad[node[k]], -np.inf, dist2[k, rows, side[k]])
             side[k, int(own.argmax())] = 1 if ones[k] == 0 else 0
             ones[k] += 1 if ones[k] == 0 else -1
-        new = _side_centroids(pts, node, side, np.stack([sizes[node] - ones, ones], axis=1))
+        counts = np.stack([sizes[node] - ones, ones], axis=1)
+        new = _side_sums(pts, node, side, pad) / counts[:, :, None]
         shift = np.sqrt(((new - old) ** 2).sum(axis=2))
         move = np.maximum(shift[:, 0], shift[:, 1])
         centers[live] = new
@@ -519,8 +479,7 @@ def _lloyd_batch(
             break
     # A restart's centers are the means of its final sides, so the squared
     # differences from them sum to `_one_means_cost` of each side.
-    sides = _side_totals(pts, owner, np.where(pad[owner], 2, assign), centers)
-    cost = (sides[:, 0] + sides[:, 1]).reshape(len(nodes), restarts)
+    cost = _side_sums(pts, owner, assign, pad, centers).sum(axis=1).reshape(len(nodes), restarts)
     best = assign[cost.argmin(axis=1) + restarts * np.arange(len(nodes))]
     out: List[Sides] = []
     for ids, row, value in zip(nodes, best, cost.min(axis=1).tolist()):
@@ -529,32 +488,42 @@ def _lloyd_batch(
     return out
 
 
-def _lloyd_two_means(
-    coords: np.ndarray, ids: np.ndarray, config: TwoMeansSolverConfig, rng: RngStream
-) -> Sides:
-    """The Lloyd solver on one point set; restart r seeds from `rng.substream(r)`.
+def _split_nodes(
+    coords: np.ndarray,
+    nodes: List[np.ndarray],
+    keys: np.ndarray,
+    config: TwoMeansSolverConfig,
+    rng: RngStream,
+) -> List[Sides]:
+    """The 2-means split of each of `nodes`, by `config`'s solver.
 
-    `_lloyd_batch` with one node. A 2-point set takes its only split.
+    Every node is an ascending index array of at least two points. The
+    exhaustive solver takes the nodes one by one. The Lloyd solver gives a
+    2-point node its only split without drawing, and runs the nodes whose
+    sizes share a power-of-two bracket [2^(e-1), 2^e) as one `_lloyd_batch`;
+    restart r of node k seeds from `rng.substream(*keys[k], r)`, for an
+    (len(nodes), t) integer array `keys`.
     """
-    if len(ids) == 2:
-        return ids[:1], ids[1:], 0.0
-    no_keys = np.empty((1, 0), dtype=np.int64)
-    first, draws = _restart_draws(rng, no_keys, np.array([len(ids)]), config.lloyd_restarts)
-    return _lloyd_batch(coords, [ids], config, first, draws)[0]
-
-
-def _solve_two_means(
-    coords: np.ndarray, ids: np.ndarray, config: TwoMeansSolverConfig, rng: RngStream
-) -> Sides:
-    if len(ids) < 2:
-        raise ValueError("2-means needs at least two points")
     if config.kind == "exhaustive":
-        if len(ids) > config.max_exhaustive_n:
+        if max(len(ids) for ids in nodes) > config.max_exhaustive_n:
             raise ValueError(
                 f"exhaustive 2-means refuses sets larger than {config.max_exhaustive_n}"
             )
-        return _exhaustive_two_means(coords, ids)
-    return _lloyd_two_means(coords, ids, config, rng)
+        return [_exhaustive_two_means(coords, ids) for ids in nodes]
+    out: List[Sides] = [(ids[:1], ids[1:], 0.0) for ids in nodes]
+    restarts = config.lloyd_restarts
+    sizes = np.array([len(ids) for ids in nodes])
+    lloyd = np.flatnonzero(sizes > 2)
+    first, draws = _restart_draws(rng, keys[lloyd], sizes[lloyd], restarts)
+    scale = np.frexp(sizes[lloyd])[1]
+    for e in np.unique(scale).tolist():
+        group = np.flatnonzero(scale == e)
+        runs = (group[:, None] * restarts + np.arange(restarts)).ravel()
+        batch = lloyd[group].tolist()
+        sides = _lloyd_batch(coords, [nodes[k] for k in batch], config, first[runs], draws[runs])
+        for k, split in zip(batch, sides):
+            out[k] = split
+    return out
 
 
 def two_means(
@@ -570,10 +539,13 @@ def two_means(
     `bisecting_kmeans` does, and report the cost in the original units.
     """
     ids = _index_array(indexset, points.n)
+    if len(ids) < 2:
+        raise ValueError("2-means needs at least two points")
     exponent = _unit_exponent(points.coords)
-    first, second, cost = _solve_two_means(
-        _unit_scaled(points.coords), ids, config, RngStream(config.seed)
-    )
+    no_keys = np.empty((1, 0), dtype=np.int64)
+    first, second, cost = _split_nodes(
+        _unit_scaled(points.coords), [ids], no_keys, config, RngStream(config.seed)
+    )[0]
     split = Split(frozenset(first.tolist()), frozenset(second.tolist()))
     try:
         return split, math.ldexp(cost, 2 * exponent)
@@ -598,8 +570,9 @@ def bisecting_kmeans(points: PointSet, config: TwoMeansSolverConfig) -> HierTree
     them, so a node with visit v gives v + 1 to its left child and
     v + |left| to its right one, before either subtree is built. The tree
     therefore grows one depth at a time, and restart r of every node still
-    seeds from `RngStream(seed).substream(v, r)`. The Lloyd solver runs
-    the nodes of one depth whose sizes share a power-of-two bracket
+    seeds from `RngStream(seed).substream(v, r)`: each depth's nodes go to
+    `_split_nodes` at once, keyed by their visit numbers. The Lloyd solver
+    there runs the nodes whose sizes share a power-of-two bracket
     [2^(e-1), 2^e) as a single batch (each restart seeds from its own
     substream and stops on its own node's move test), and a 2-point node
     takes its only split without drawing; the exhaustive solver takes the
@@ -613,30 +586,15 @@ def bisecting_kmeans(points: PointSet, config: TwoMeansSolverConfig) -> HierTree
     """
     coords = _unit_scaled(points.coords)
     base = RngStream(config.seed)
-    restarts = config.lloyd_restarts
     n = points.n
     # splits[v]: the (left, right) sides of the node with visit number v.
     splits: List[Tuple[np.ndarray, np.ndarray]] = [None] * (n - 1)  # type: ignore[list-item]
     frontier = [(0, np.arange(n, dtype=np.intp))] if n > 1 else []
     while frontier:
-        if config.kind == "lloyd":
-            solved = [(v, (ids[:1], ids[1:], 0.0)) for v, ids in frontier if len(ids) == 2]
-            frontier = [(v, ids) for v, ids in frontier if len(ids) > 2]
-            visits = np.array([v for v, _ in frontier], dtype=np.int64)
-            sizes = np.array([len(ids) for _, ids in frontier], dtype=np.intp)
-            first, draws = _restart_draws(base, visits[:, None], sizes, restarts)
-            # Sizes within a factor of two share a batch, padded to the largest.
-            scale = np.frexp(sizes)[1]
-            for e in np.unique(scale).tolist():
-                group = np.flatnonzero(scale == e)
-                runs = (group[:, None] * restarts + np.arange(restarts)).ravel()
-                nodes = [frontier[k][1] for k in group.tolist()]
-                sides = _lloyd_batch(coords, nodes, config, first[runs], draws[runs])
-                solved += zip(visits[group].tolist(), sides)
-        else:
-            solved = [(v, _solve_two_means(coords, ids, config, base)) for v, ids in frontier]
+        visits = np.array([v for v, _ in frontier], dtype=np.int64)
+        solved = _split_nodes(coords, [ids for _, ids in frontier], visits[:, None], config, base)
         frontier = []
-        for v, (left, right, _) in solved:
+        for v, (left, right, _) in zip(visits.tolist(), solved):
             splits[v] = (left, right)
             for w, side in ((v + 1, left), (v + len(left), right)):
                 if len(side) > 1:

@@ -3,7 +3,9 @@
 Everything downstream (objectives, tree builders, ground-truth instances)
 works on the two containers defined here: an (n, dim) coordinate array and an
 (n, n) symmetric dissimilarity matrix. Both are immutable after construction
-and safe to share across threads.
+and safe to share across threads. Batched code sums through
+`_segment_sums` and `_group_sums`, which add in numpy's own order, so a
+batch agrees bit for bit with numpy summing each part alone.
 """
 
 from __future__ import annotations
@@ -190,15 +192,51 @@ def _unit_scaled(coords: np.ndarray) -> np.ndarray:
     return coords if exponent == 0 else np.ldexp(coords, -exponent)
 
 
+def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """out[k]: numpy's own `.sum()` of the k-th of consecutive segments of 1-D `values`.
+
+    Segment k holds lengths[k] entries, and an empty one sums to 0.0. numpy
+    sums a contiguous run pairwise, starting from 0.0, and np.add.reduceat
+    over a segment that starts with 0.0 adds the same; so a 0.0 goes in
+    front of every segment and one reduceat sums them all.
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    heads = np.cumsum(lengths) - lengths
+    return np.add.reduceat(np.insert(values, heads, 0.0), heads + np.arange(len(lengths)))
+
+
+def _group_sums(rows: np.ndarray, group: np.ndarray, n: int) -> np.ndarray:
+    """out[g]: numpy's own `rows[group == g].sum(axis=0)` for each g < n.
+
+    `group` holds a value in 0..n for each row of the (N, dim) `rows`; rows
+    of group n are left out. numpy sums the rows of two or more columns one
+    after another, starting from 0.0, and np.bincount adds its weights to
+    their bins the same way, so one weighted bincount sums every (group,
+    column). A single column is summed pairwise instead: its rows are laid
+    out group by group, in order, for `_segment_sums`.
+    """
+    dim = rows.shape[1]
+    if dim == 1:
+        order = np.argsort(group, kind="stable")
+        lengths = np.bincount(group, minlength=n + 1)[:n]
+        return _segment_sums(rows[order[: lengths.sum()], 0], lengths)[:, None]
+    bins = (group[:, None] * dim + np.arange(dim)).ravel()
+    return np.bincount(bins, rows.ravel(), (n + 1) * dim)[: n * dim].reshape(n, dim)
+
+
+# Entries of one temporary of a blocked array pass: about 32 MB of float64.
+_BLOCK_ENTRIES = 4_000_000
+
+
 def _distance_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
     """Yield (first_row, block): Euclidean distances from a row block of `a` to every row of `b`.
 
-    Row blocks cap the (rows, len(b), dim) difference temporary at about 4e6
-    entries (32 MB) whatever the sizes; one block for all of `a` takes
+    Row blocks cap the (rows, len(b), dim) difference temporary at
+    `_BLOCK_ENTRIES` whatever the sizes; one block for all of `a` takes
     gigabytes on a few thousand points or a wide ultrametric embedding. The
     difference is one expression, so no name holds it across the yield.
     """
-    step = max(1, int(4e6 // max(1, len(b) * a.shape[1])))
+    step = max(1, _BLOCK_ENTRIES // max(1, len(b) * a.shape[1]))
     for s in range(0, len(a), step):
         yield s, np.sqrt(((a[s : s + step, None, :] - b[None, :, :]) ** 2).sum(axis=2))
 

@@ -26,7 +26,10 @@ array pass (`_small_split_values`), in batches of at most `_BATCH_ENTRIES`
 (2^20) pair-coordinate entries; the many small splits of a tree then cost a
 few dozen array calls, not a few dozen each. A larger split is scored in row
 blocks of its own (`_split_revenue_blocks`). Both routes give the same
-per-split values, bit for bit.
+per-split values, bit for bit: the batch takes its centroids and per-split
+totals from `metricspace`'s `_group_sums` and `_segment_sums`, which sum as
+numpy sums one side or one split alone, and both score a pair by
+`_pair_revenues`.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ from .metricspace import (
     DistanceMatrix,
     PointSet,
     _distance_blocks,
+    _group_sums,
+    _segment_sums,
     _unit_scaled,
     pairwise_distances,
 )
@@ -162,6 +167,16 @@ def _centroid(pts: np.ndarray) -> np.ndarray:
     return pts[0] if (pts == pts[0]).all() else pts.mean(axis=0)
 
 
+def _pair_revenues(dist: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """min(dist / delta, 1) elementwise, or 1 where delta is 0: the revenue of split pairs.
+
+    `dist` holds pair distances and `delta` the larger of each pair's two
+    distances to its own side's centroid.
+    """
+    safe = np.where(delta == 0.0, 1.0, delta)
+    return np.where(delta == 0.0, 1.0, np.minimum(dist / safe, 1.0))
+
+
 def pair_revenue(
     points: PointSet,
     left_set: Iterable[int],
@@ -198,24 +213,7 @@ def _split_revenue_blocks(
     dl = np.sqrt(((pl - _centroid(pl)) ** 2).sum(axis=1))
     dr = np.sqrt(((pr - _centroid(pr)) ** 2).sum(axis=1))
     for s, cross in _distance_blocks(pl, pr):
-        delta = np.maximum(dl[s : s + len(cross), None], dr[None, :])
-        safe = np.where(delta == 0.0, 1.0, delta)
-        yield np.where(delta == 0.0, 1.0, np.minimum(cross / safe, 1.0))
-
-
-def _end_to_end(length: np.ndarray):
-    """Lay items of the given lengths end to end, in order of length.
-
-    Returns (order, ordered, head, runs): item order[k] has length
-    ordered[k] and starts at offset head[k]; each (size, lo, hi) of runs
-    says that order[lo:hi] are the items of that size.
-    """
-    order = np.argsort(length, kind="stable")
-    ordered = length[order]
-    head = np.cumsum(ordered) - ordered
-    sizes, firsts = np.unique(ordered, return_index=True)
-    runs = zip(sizes.tolist(), firsts.tolist(), [*firsts[1:].tolist(), len(length)])
-    return order, ordered, head, runs
+        yield _pair_revenues(cross, np.maximum(dl[s : s + len(cross), None], dr[None, :]))
 
 
 def _small_split_values(
@@ -224,46 +222,31 @@ def _small_split_values(
     """Revenue of each (left, right) split in `splits`, all in one array pass.
 
     Every value equals the sum of `_split_revenue_blocks` over that split,
-    bit for bit. The sides' points are laid end to end in order of side
-    length, and the centroids of all sides of one length L come from one
-    (count, L, dim) stack, whose `.sum(axis=1) / L` is each side's
-    `mean(axis=0)`. The pairs are laid split-major in order of pair count,
-    each split's pairs row-major as `_split_revenue_blocks` yields them, so
-    the splits with P pairs form one (count, P) stack whose `.sum(axis=1)`
-    is each split's `rev.sum()`, by the same pairwise summation.
+    bit for bit. The sides' points are laid end to end in split order, and
+    `_group_sums` gives every side's column sums, whose quotient by the side
+    length is its `mean(axis=0)`. The pairs are laid split by split, each
+    split's pairs row-major as `_split_revenue_blocks` yields them, and
+    `_segment_sums` gives each split's `rev.sum()`.
     """
-    b = len(splits)
-    dim = coords.shape[1]
-    sides = [l for l, _ in splits] + [r for _, r in splits]
+    sides = [side for split in splits for side in split]
     length = np.array([len(x) for x in sides])
-    order, ordered, head, runs = _end_to_end(length)
-    pts = coords[np.concatenate([sides[k] for k in order])]
-    start = np.empty(2 * b, dtype=np.intp)
-    start[order] = head
-    centroid = np.empty((2 * b, dim))
-    for size, lo, hi in runs:
-        stack = pts[head[lo] : head[lo] + (hi - lo) * size].reshape(hi - lo, size, dim)
-        centroid[lo:hi] = stack.sum(axis=1) / size
+    head = np.cumsum(length) - length
+    pts = coords[np.concatenate(sides)]
+    centroid = _group_sums(pts, np.repeat(np.arange(len(sides)), length), len(sides))
+    centroid /= length[:, None]
     # A side of equal points is its own centroid, as in `_centroid`.
-    same = (pts == np.repeat(pts[head], ordered, axis=0)).all(axis=1)
+    same = (pts == np.repeat(pts[head], length, axis=0)).all(axis=1)
     equal = np.logical_and.reduceat(same, head)
     centroid[equal] = pts[head[equal]]
-    radius = np.sqrt(((pts - np.repeat(centroid, ordered, axis=0)) ** 2).sum(axis=1))
-    width = length[b:]
-    order, ordered, head, runs = _end_to_end(length[:b] * width)
-    split = np.repeat(order, ordered)
-    t = np.arange(len(split)) - np.repeat(head, ordered)
-    i = start[split] + t // width[split]
-    j = start[b + split] + t % width[split]
+    radius = np.sqrt(((pts - np.repeat(centroid, length, axis=0)) ** 2).sum(axis=1))
+    width = length[1::2]
+    count = length[0::2] * width
+    split = np.repeat(np.arange(len(splits)), count)
+    t = np.arange(len(split)) - np.repeat(np.cumsum(count) - count, count)
+    i = head[2 * split] + t // width[split]
+    j = head[2 * split + 1] + t % width[split]
     dist = np.sqrt(((pts[i] - pts[j]) ** 2).sum(axis=1))
-    delta = np.maximum(radius[i], radius[j])
-    safe = np.where(delta == 0.0, 1.0, delta)
-    rev = np.where(delta == 0.0, 1.0, np.minimum(dist / safe, 1.0))
-    out = np.empty(b)
-    for count, lo, hi in runs:
-        stack = rev[head[lo] : head[lo] + (hi - lo) * count].reshape(hi - lo, count)
-        out[order[lo:hi]] = stack.sum(axis=1)
-    return out.tolist()
+    return _segment_sums(_pair_revenues(dist, np.maximum(radius[i], radius[j])), count).tolist()
 
 
 def _revenue_values(coords: np.ndarray, tree: HierTree) -> List[float]:
@@ -343,10 +326,11 @@ def tree_revenue(points: PointSet, tree: HierTree, mode: str = "split_sum") -> O
     ``split_sum`` scores each split's pairs as arrays. Splits with
     |S1|*|S2|*dim at most 8192 entries are scored together, in batches of
     at most 2^20 pair-coordinate entries: the sides of all of them laid end
-    to end, one centroid pass per distinct side length, one distance and
-    revenue pass over all their pairs laid split-major and row-major, and one
-    sum per distinct pair count. Each larger split is scored alone in row
-    blocks. The two layouts give every split the same value, bit for bit.
+    to end in split order, one centroid pass over all the sides, one
+    distance and revenue pass over all their pairs laid split-major and
+    row-major, and one pass that sums each split's pairs. Each larger split
+    is scored alone in row blocks. The two layouts give every split the same
+    value, bit for bit.
     ``pair_sum`` walks all n(n-1)/2 pairs, finds the split separating each
     pair, and adds what `pair_revenue` would return for it, bit for bit,
     from centroids computed once per split. The two modes evaluate the same
@@ -555,8 +539,7 @@ def brute_force_opt(
             # The arithmetic of `_split_revenue_blocks`, for every bipartition at once.
             r = radii[np.where(left, left_mask[:, None], right_mask[:, None]), ids]
             delta = np.maximum(r[:, :, None], r[:, None, :])
-            safe = np.where(delta == 0.0, 1.0, delta)
-            rev = np.where(delta == 0.0, 1.0, np.minimum(dist[np.ix_(ids, ids)] / safe, 1.0))
+            rev = _pair_revenues(dist[np.ix_(ids, ids)], delta)
             return (rev * (left[:, :, None] & ~left[:, None, :])).sum(axis=(1, 2))
 
         score = tree_revenue

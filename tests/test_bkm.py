@@ -34,12 +34,18 @@ from hierclust import (
 from hierclust import algorithms
 from hierclust.algorithms import (
     _exhaustive_two_means,
-    _lloyd_two_means,
     _ordered_split,
     _restart_draws,
+    _split_nodes,
 )
 from hierclust.hiertree import _divide
 from hierclust.metricspace import _distance_blocks, _one_means_cost, _unit_scaled
+
+
+def _lloyd_two_means(coords, ids, config, rng):
+    """`_split_nodes` on one node: restart r seeds from `rng.substream(r)`."""
+    no_keys = np.empty((1, 0), dtype=np.int64)
+    return _split_nodes(coords, [ids], no_keys, config, rng)[0]
 
 
 def _lloyd_once(
@@ -169,13 +175,38 @@ def test_lloyd_matches_per_restart_loop_on_ties(name):
 
 @pytest.mark.parametrize("dim", [2, 3, 8, 200])
 def test_lloyd_matches_per_restart_loop_in_small_blocks(monkeypatch, dim):
-    # Blocks of a few restarts and rows: centroid sums carry across row
-    # blocks, and a row wider than a block gets a block of its own.
+    # Every run is wider than a block, so each gets a block of its own.
     monkeypatch.setattr(algorithms, "_BATCH_ENTRIES", 60)
     g = np.random.default_rng(dim)
     coords = g.standard_normal((41, dim)) + 2.0 * (np.arange(41) % 2 == 0)[:, None]
     _assert_matches(coords, np.arange(41), seed=dim)
     _assert_matches(np.round(coords), np.arange(41), seed=dim)
+
+
+def test_split_nodes_matches_each_node_alone():
+    # Nodes of sizes 3 to 9 and 15 and a 2-point node, solved in one call,
+    # run as padded batches in the brackets [2, 4), [4, 8) and [8, 16). Each
+    # node must split as it does alone under its own key, and as the
+    # per-restart loop splits it from that key's substream.
+    g = np.random.default_rng(16)
+    sizes = [3, 4, 5, 6, 7, 8, 9, 15, 2]
+    cuts = np.cumsum([0] + sizes)
+    for coords in (g.standard_normal((60, 3)), np.round(g.standard_normal((60, 2)))):
+        perm = g.permutation(len(coords))
+        nodes = [np.sort(perm[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+        keys = 7 * np.arange(len(nodes))[:, None] + 1
+        for fields in SETTINGS:
+            config = TwoMeansSolverConfig(kind="lloyd", seed=5, **fields)
+            rng = RngStream(5)
+            got = _split_nodes(coords, nodes, keys, config, rng)
+            for k, ids in enumerate(nodes):
+                context = (fields, len(ids))
+                alone = _split_nodes(coords, [ids], keys[k : k + 1], config, rng)[0]
+                _assert_same_sides(got[k], alone, context)
+                if len(ids) > 2:
+                    stream = rng.substream(keys[k, 0])
+                    want = _reference_lloyd_two_means(coords, ids, config, stream)
+                    _assert_same_sides(got[k], want, context)
 
 
 def test_two_means_lloyd_matches_per_restart_loop():
@@ -344,8 +375,7 @@ def test_bisecting_matches_depth_first_build_on_mixture():
 
 @pytest.mark.parametrize("dim", [1, 2, 8, 32])
 def test_bisecting_matches_depth_first_build_in_small_blocks(monkeypatch, dim):
-    # Blocks of a few restarts and rows, and a row wider than a block: the
-    # centroid sums carry across row blocks in every batch of the tree.
+    # Blocks of one run each in every batch of the tree.
     monkeypatch.setattr(algorithms, "_BATCH_ENTRIES", 60)
     _assert_same_tree(_random_points(64, dim), seed=dim)
     _assert_same_tree(np.round(_random_points(40, dim)), seed=dim, settings=SETTINGS[:2])

@@ -13,7 +13,7 @@ from hierclust import (
     kmeans_cost,
     pairwise_distances,
 )
-from hierclust.metricspace import _distance_blocks, close
+from hierclust.metricspace import _distance_blocks, _group_sums, _segment_sums, close
 
 
 def line_points():
@@ -289,3 +289,92 @@ def test_kmeans_solution_invariants():
         KMeansSolution((frozenset({0, 2}),), 0.0)  # gap: not 0..n-1
     with pytest.raises(ValueError):
         KMeansSolution((frozenset({0}),), -1.0)
+
+
+# ----------------------------------------------------------------------
+# sums in numpy's own order
+
+# Lengths on both sides of numpy's 8-way unrolled loop and its 128-entry
+# pairwise blocks.
+SEGMENT_LENGTHS = (0, 1, 7, 8, 9, 127, 128, 129, 1000)
+
+
+def _hex(values):
+    return [float.hex(float(v)) for v in np.ravel(values)]
+
+
+def _numpy_segment_sums(values, lengths):
+    heads = np.cumsum(lengths) - lengths
+    return [values[h : h + n].sum() for h, n in zip(heads.tolist(), lengths.tolist())]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_segment_sums_match_numpy(seed):
+    g = np.random.default_rng(seed)
+    lengths = g.permutation(np.repeat(SEGMENT_LENGTHS, 2))
+    n = int(lengths.sum())
+    # Magnitudes from 1e-300 to 1e300, so that every change of order shows.
+    values = g.standard_normal(n) * 10.0 ** g.integers(-300, 301, n)
+    values[g.random(n) < 0.05] = -0.0
+    assert _hex(_segment_sums(values, lengths)) == _hex(_numpy_segment_sums(values, lengths))
+
+
+def test_segment_sums_of_empty_and_negative_zero_segments():
+    values = np.array([-0.0, -0.0, -0.0, 2.5])
+    lengths = np.array([0, 3, 0, 1, 0])
+    got = _segment_sums(values, lengths)
+    assert _hex(got) == _hex(_numpy_segment_sums(values, lengths))
+    assert _hex(got) == _hex([0.0, 0.0, 0.0, 2.5, 0.0])
+    assert _hex(_segment_sums(np.empty(0), np.array([0, 0]))) == _hex([0.0, 0.0])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 33])
+def test_group_sums_match_numpy(dim):
+    g = np.random.default_rng(dim)
+    n = 5
+    rows = g.standard_normal((1500, dim)) * 10.0 ** g.integers(-50, 51, (1500, 1))
+    rows[g.random((1500, dim)) < 0.05] = -0.0
+    # Groups interleave; group 3 is empty, and the rows of group n are left out.
+    group = g.integers(0, n + 1, 1500)
+    group[group == 3] = n
+    got = _group_sums(rows, group, n)
+    assert got.shape == (n, dim)
+    for k in range(n):
+        assert _hex(got[k]) == _hex(rows[group == k].sum(axis=0)), k
+
+
+def test_segment_and_group_sums_match_numpy_on_drawn_values():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+    from hypothesis.extra import numpy as hnp
+
+    # At most a few hundred entries of 1e290 cannot overflow.
+    finite = st.floats(-1e290, 1e290, allow_nan=False, allow_infinity=False)
+
+    @st.composite
+    def segments(draw):
+        lengths = np.array(draw(st.lists(st.integers(0, 300), min_size=1, max_size=5)))
+        values = draw(hnp.arrays(np.float64, int(lengths.sum()), elements=finite))
+        return values, lengths
+
+    @st.composite
+    def groups(draw):
+        m = draw(st.integers(0, 300))
+        n = draw(st.integers(0, 4))
+        rows = draw(hnp.arrays(np.float64, (m, draw(st.integers(1, 4))), elements=finite))
+        group = draw(hnp.arrays(np.intp, m, elements=st.integers(0, n)))
+        return rows, group, n
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(segments(), groups())
+    def check(segment_case, group_case):
+        values, lengths = segment_case
+        got = _segment_sums(values, lengths)
+        assert _hex(got) == _hex(_numpy_segment_sums(values, lengths))
+        rows, group, n = group_case
+        got = _group_sums(rows, group, n)
+        assert got.shape == (n, rows.shape[1])
+        for k in range(n):
+            assert _hex(got[k]) == _hex(rows[group == k].sum(axis=0))
+
+    check()
