@@ -13,8 +13,12 @@ ckmm and dasgupta files were byte-identical. The `bkm_lloyd_*` digests of
 as one batch. `enumerate_opt_revenue` was recorded again when the exact
 optimum became a subset DP: its six points tie at the n(n-1)/2 bound on
 several trees, and the DP's tie rule returns `((0,1),((2,3),(4,5)))` where
-enumeration order returned `(((0,1),(2,3)),(4,5))`, both worth 15.0. Each
-digest is SHA-256 over `repr` of a Python value, over an array's bytes, or
+enumeration order returned `(((0,1),(2,3)),(4,5))`, both worth 15.0.
+`revenue_random_tree_600x64` pins the row-block layout of split revenue: it
+was recorded before split revenue skipped the exact distance of pairs that
+provably earn 1, and moving the row-block size of `_distance_blocks` alone
+(to 1, 3 or 5 million entries) changes at least one of its per-split
+values. Each digest is SHA-256 over `repr` of a Python value, over an array's bytes, or
 over a file's bytes.
 """
 
@@ -347,6 +351,16 @@ def _per_split(points: PointSet, tree: HierTree):
     return [v for _, v in report.per_split], report.total
 
 
+def _hex_per_split(seeds, n: int, dim: int):
+    """`float.hex` of each split's revenue on a Gaussian random tree, per seed."""
+    out = []
+    for seed in seeds:
+        points = PointSet(np.random.default_rng(seed).standard_normal((n, dim)))
+        report = tree_revenue(points, random_tree(n, RngStream(seed)))
+        out.append([v.hex() for v in report.values])
+    return out
+
+
 def _high(points: PointSet, cut: int):
     stats = high_revenue_stats(points, range(cut), range(cut, points.n))
     return sorted(stats.high_revenue_points_in_larger), stats.fraction
@@ -371,6 +385,7 @@ def _report_cases():
             bisecting_kmeans(_wide(), TwoMeansSolverConfig(kind="lloyd", lloyd_restarts=2, seed=3))
         ),
         "revenue_random_tree_wide": lambda t: _per_split(_wide(), random_tree(700, RngStream(8))),
+        "revenue_random_tree_600x64": lambda t: _hex_per_split((0, 1, 4, 5), 600, 64),
         "revenue_small": lambda t: [
             _per_split(_points(n, n, dim), random_tree(n, RngStream(n)))
             for n, dim in ((2, 1), (3, 2), (17, 3), (64, 5))
@@ -412,6 +427,7 @@ REPORT_GOLDEN = {
     "pairwise_small": "2e896e5f056b98110ac0a74cf7e2838f1b344f0b9e785f81892862a0274e8dde",
     "pairwise_wide": "c8df333c77d021f47124ed633487e478f6effebeffce9d4e80475b9ed34cc2bd",
     "random_bad": "fe370ee9f9d5dc2553b64e3e01eb5a3b69744398aa650e623be9af0fee9eeaa3",
+    "revenue_random_tree_600x64": "e71f68a00211d3f88f6a9e27b23dd0132f9c6bfa4bb1b079db1532cd4db34f2f",
     "revenue_random_tree_wide": "8bbe4ced69c938794ca62d76e2fabe03828ccd9bf0c81e99dd9c81443973c385",
     "revenue_small": "b676eba8a0371432b6ce287fb992e6bd64e6c6d5efc714dbf990e48c3be9dc48",
     "revenue_ultrametric_strict_64": "61a10e896c8ed17c0b92ee47f4f8e7c894dcc9bf5c900a30a312e11f99d1f80e",
