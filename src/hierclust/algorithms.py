@@ -12,7 +12,9 @@ Four builders, all emitting the same dendrogram type:
   own centers stop moving. The tolerance scales with the node's diameter,
   which is bracketed in [r, 2r] by the largest distance r from the node's
   first point and computed exactly only when a move falls inside the
-  bracket. A 2-point node takes its only split without running Lloyd.
+  bracket. A 2-point node takes its only split without running Lloyd, and
+  a node of equal points the split every restart would end in: its first
+  point against the rest.
   The batch sums as a lone restart would, through `metricspace`'s
   `_segment_sums` and `_group_sums`, so its splits and costs are bit for
   bit those of one restart at a time.
@@ -499,7 +501,8 @@ def _split_nodes(
 
     Every node is an ascending index array of at least two points. The
     exhaustive solver takes the nodes one by one. The Lloyd solver gives a
-    2-point node its only split without drawing, and runs the nodes whose
+    2-point node, and a node whose points are all equal, the split of its
+    first point from the rest without drawing, and runs the other nodes whose
     sizes share a power-of-two bracket [2^(e-1), 2^e) as one `_lloyd_batch`;
     restart r of node k seeds from `rng.substream(*keys[k], r)`, for an
     (len(nodes), t) integer array `keys`.
@@ -510,10 +513,18 @@ def _split_nodes(
                 f"exhaustive 2-means refuses sets larger than {config.max_exhaustive_n}"
             )
         return [_exhaustive_two_means(coords, ids) for ids in nodes]
-    out: List[Sides] = [(ids[:1], ids[1:], 0.0) for ids in nodes]
+    # A node of equal points takes the split a 2-point node has, without
+    # drawing: both seeds sit on one point and none is strictly nearer the
+    # second, so the empty-side repair moves the first row, and every
+    # restart ends in {first point} against the rest.
+    settled = [len(ids) == 2 or bool((coords[ids] == coords[ids[0]]).all()) for ids in nodes]
+    out: List[Sides] = [
+        (ids[:1], ids[1:], _one_means_cost(coords, ids[1:]) if done and len(ids) > 2 else 0.0)
+        for ids, done in zip(nodes, settled)
+    ]
     restarts = config.lloyd_restarts
     sizes = np.array([len(ids) for ids in nodes])
-    lloyd = np.flatnonzero(sizes > 2)
+    lloyd = np.flatnonzero(~np.array(settled, dtype=bool))
     first, draws = _restart_draws(rng, keys[lloyd], sizes[lloyd], restarts)
     scale = np.frexp(sizes[lloyd])[1]
     for e in np.unique(scale).tolist():

@@ -228,17 +228,27 @@ def _group_sums(rows: np.ndarray, group: np.ndarray, n: int) -> np.ndarray:
 _BLOCK_ENTRIES = 4_000_000
 
 
+def _row_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[slice]:
+    """Row slices of `a` whose (rows, len(b), dim) pair-coordinate block fits `_BLOCK_ENTRIES`.
+
+    Whoever sums a block's values must use these slices: the row blocks
+    group a later sum, so its bits depend on them.
+    """
+    step = max(1, _BLOCK_ENTRIES // max(1, len(b) * a.shape[1]))
+    return (slice(s, s + step) for s in range(0, len(a), step))
+
+
 def _distance_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
     """Yield (first_row, block): Euclidean distances from a row block of `a` to every row of `b`.
 
-    Row blocks cap the (rows, len(b), dim) difference temporary at
-    `_BLOCK_ENTRIES` whatever the sizes; one block for all of `a` takes
-    gigabytes on a few thousand points or a wide ultrametric embedding. The
-    difference is one expression, so no name holds it across the yield.
+    Row blocks (`_row_blocks`) cap the (rows, len(b), dim) difference
+    temporary at `_BLOCK_ENTRIES` whatever the sizes; one block for all of
+    `a` takes gigabytes on a few thousand points or a wide ultrametric
+    embedding. The difference is one expression, so no name holds it across
+    the yield.
     """
-    step = max(1, _BLOCK_ENTRIES // max(1, len(b) * a.shape[1]))
-    for s in range(0, len(a), step):
-        yield s, np.sqrt(((a[s : s + step, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+    for rows in _row_blocks(a, b):
+        yield rows.start, np.sqrt(((a[rows, None, :] - b[None, :, :]) ** 2).sum(axis=2))
 
 
 # Rows of one block of the upper triangle in `pairwise_distances`. The part

@@ -30,6 +30,15 @@ per-split values, bit for bit: the batch takes its centroids and per-split
 totals from `metricspace`'s `_group_sums` and `_segment_sums`, which sum as
 numpy sums one side or one split alone, and both score a pair by
 `_pair_revenues`.
+
+The row blocks skip the exact distance of every pair that provably earns 1.
+A lower bound on the pair's squared distance, from the two squared norms
+and an `np.einsum` dot product less a slack derived from their float error,
+certifies the pair when it clears delta^2 (1 + slack); the pair then gets
+exactly the 1.0 its exact distance would give, and every other pair is
+scored from its exact distance, so the values do not move by a bit. einsum
+rather than `@`: it never calls BLAS, whose threads cost more than blocks
+this small are worth.
 """
 
 from __future__ import annotations
@@ -49,6 +58,7 @@ from .metricspace import (
     PointSet,
     _distance_blocks,
     _group_sums,
+    _row_blocks,
     _segment_sums,
     _unit_scaled,
     pairwise_distances,
@@ -204,16 +214,101 @@ def pair_revenue(
     return min(d / delta, 1.0)
 
 
+def _gathered_revenues(a: np.ndarray, b: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Revenue of the pairs (a[k], b[k]) with radii `delta[k]`, from their exact distances.
+
+    numpy sums each contiguous row of the (K, dim) squared differences as
+    it sums each pair's last axis in a (rows, cols, dim) block, so every
+    distance has the bits `_distance_blocks` gives it. `a` is overwritten.
+    """
+    a -= b
+    a *= a
+    return _pair_revenues(np.sqrt(a.sum(axis=1)), delta)
+
+
 def _split_revenue_blocks(
     coords: np.ndarray, left: np.ndarray, right: np.ndarray
 ) -> Iterator[np.ndarray]:
-    """Revenue of every (left x right) pair of one split, one row block of `left` at a time."""
+    """Revenue of every (left x right) pair of one split, one row block of `left` at a time.
+
+    The blocks are `metricspace._row_blocks`, as `_distance_blocks` lays
+    them out, and every value has the bits of `_pair_revenues` on the
+    block's exact distances; only pairs that provably earn 1 skip the exact
+    distance.
+
+    The screen. A pair earns exactly 1.0 iff delta = 0 or fl(sqrt(s)) >=
+    delta, where s is numpy's sum of the pair's squared differences: if
+    d < delta then d / delta <= 1 - 2^-53. As delta is a float and the
+    square root is correctly rounded, fl(sqrt(s)) >= delta whenever s >=
+    delta^2 in exact arithmetic. Each row block bounds every pair's squared
+    distance from below by
+
+        low = fl(a_x + a_y) - <x, 2y>,   a_x = fl(||x||^2 (1 - slack)),
+
+    and gives 1.0 to a pair with low >= fl(delta^2 (1 + slack) + 2^-1000),
+    where slack = 8(m + 8)u, m = dim and u = 2^-53; every other pair gets
+    `_gathered_revenues`. With D^2 the exact squared distance and A =
+    ||x||^2 + ||y||^2, that is sound because the rows are unit-scaled
+    (`_unit_scaled`: every |entry| < 1, so nothing overflows) and m u is
+    far below 2^-10:
+
+    * Float sums of m nonnegative terms, in any order, lose at most a
+      factor (1 - u) per operation, and a square underflows by at most
+      2^-1075; so s >= (1 - (m + 2)u) D^2 - m 2^-1075.
+    * The norms and the einsum dot product are each within about m u A +
+      m 2^-1074 of their exact values (Higham, "Accuracy and Stability of
+      Numerical Algorithms", ch. 3, gamma_m; |x_k y_k| <= (x_k^2 + y_k^2)
+      / 2), and the float operations of `low` add about 3u A more. The
+      (1 - slack) factors take (8m + 64)u A away, more than all of it, so
+      low <= D^2 + m 2^-1071.
+    * The threshold's own rounding leaves it at least delta^2 (1 + slack)
+      (1 - 3u) + 2^-1001. So a certified pair has D^2 >= delta^2 (1 +
+      (8m + 60)u) + 2^-1002, hence s >= delta^2: (1 - (m + 2)u)(1 + (8m +
+      60)u) >= 1, and 2^-1002 outweighs every m 2^-1075.
+
+    Pairs near the threshold take the exact path, so no value moves by a
+    bit; the screen only skips the dim-long difference of the pairs it
+    certifies, as Elkan ("Using the triangle inequality to accelerate
+    k-means", 2003) skips exact distances that a bound settles. The dot
+    products go through `np.einsum`, which never calls BLAS: a threaded
+    dgemm on blocks this small costs far more than it saves.
+    """
     pl = coords[left]
     pr = coords[right]
     dl = np.sqrt(((pl - _centroid(pl)) ** 2).sum(axis=1))
     dr = np.sqrt(((pr - _centroid(pr)) ** 2).sum(axis=1))
-    for s, cross in _distance_blocks(pl, pr):
-        yield _pair_revenues(cross, np.maximum(dl[s : s + len(cross), None], dr[None, :]))
+    if coords.shape[1] == 1:
+        # One coordinate: the exact squared distance is a single rounded
+        # square, no dearer than a bound on it.
+        for s, cross in _distance_blocks(pl, pr):
+            yield _pair_revenues(cross, np.maximum(dl[s : s + len(cross), None], dr[None, :]))
+        return
+    slack = 8 * (coords.shape[1] + 8) * 2.0**-53
+    al = (pl * pl).sum(axis=1) * (1 - slack)
+    ar = (pr * pr).sum(axis=1) * (1 - slack)
+    tl = dl * dl * (1 + slack) + 2.0**-1000
+    tr = dr * dr * (1 + slack) + 2.0**-1000
+    twice = 2.0 * pr
+    for rows in _row_blocks(pl, pr):
+        low = al[rows, None] + ar[None, :]
+        low -= np.einsum("ik,jk->ij", pl[rows], twice)
+        # The threshold grows with delta, so passing both sides' thresholds
+        # is passing the threshold of the larger radius.
+        sure = low >= tl[rows, None]
+        sure &= low >= tr[None, :]
+        pending = np.flatnonzero(~sure)
+        rev = low  # the bound is spent; its buffer takes the revenues
+        rev.fill(1.0)
+        # An eighth of the block's pairs at a time keeps the two gathered
+        # (pairs, dim) arrays within a quarter of a row block.
+        step = max(1, rev.size // 8)
+        for k in range(0, len(pending), step):
+            flat = pending[k : k + step]
+            i, j = np.divmod(flat, len(pr))
+            i += rows.start
+            delta = np.maximum(dl.take(i), dr.take(j))
+            np.put(rev, flat, _gathered_revenues(pl.take(i, axis=0), pr.take(j, axis=0), delta))
+        yield rev
 
 
 def _small_split_values(
@@ -330,7 +425,10 @@ def tree_revenue(points: PointSet, tree: HierTree, mode: str = "split_sum") -> O
     distance and revenue pass over all their pairs laid split-major and
     row-major, and one pass that sums each split's pairs. Each larger split
     is scored alone in row blocks. The two layouts give every split the same
-    value, bit for bit.
+    value, bit for bit. In the row blocks a pair whose squared distance is
+    provably at least delta^2 earns 1 without its exact distance (a lower
+    bound from norms and an einsum dot product, never BLAS), which changes
+    no bit of any value.
     ``pair_sum`` walks all n(n-1)/2 pairs, finds the split separating each
     pair, and adds what `pair_revenue` would return for it, bit for bit,
     from centroids computed once per split. The two modes evaluate the same

@@ -299,6 +299,90 @@ def test_two_means_cost_in_original_units():
 
 
 # ----------------------------------------------------------------------
+# nodes of equal points
+
+
+def _equal_nodes():
+    """(coords, nodes): nodes of 3 to 40 equal points, some among other points.
+
+    Copies of 0.1 and of 1/3 have means that round off the point; one node
+    mixes 0.0 and -0.0; one sits 2^-1000 below the unit point beside it.
+    """
+    g = np.random.default_rng(31)
+    rows = [
+        np.zeros((5, 3)),
+        np.full((3, 1), 0.1),
+        np.full((17, 8), 1 / 3),
+        np.where(g.random((6, 2)) < 0.5, -0.0, 0.0),
+        np.tile(g.standard_normal(4), (40, 1)),
+        np.vstack([np.full((9, 2), 2.0**-1000), np.ones((1, 2))]),
+    ]
+    out = []
+    for coords in rows:
+        coords = _unit_scaled(coords)
+        dim = coords.shape[1]
+        ids = np.arange(len(coords) - (len(coords) == 10))
+        out.append((coords, ids))
+        # The same node among other points, in index order but not 0..m-1.
+        wide = np.vstack([coords[ids], np.full((len(ids), dim), 0.75)])[g.permutation(2 * len(ids))]
+        out.append((wide, np.flatnonzero((wide == coords[0]).all(axis=1))))
+    return out
+
+
+@pytest.mark.parametrize("max_iters", [None, 1, 2])
+def test_equal_point_nodes_match_lloyd(max_iters):
+    # The split of the first point from the rest, at `_one_means_cost` of
+    # the rest, is what the batch and the per-restart loop both return.
+    for coords, ids in _equal_nodes():
+        assert (coords[ids] == coords[ids[0]]).all()
+        for k, fields in enumerate(SETTINGS):
+            if max_iters is not None:
+                fields = {**fields, "lloyd_max_iters": max_iters}
+            config = TwoMeansSolverConfig(kind="lloyd", seed=k, **fields)
+            rng = RngStream(k, (6,))
+            got = _lloyd_two_means(coords, ids, config, rng)
+            want = (ids[:1], ids[1:], _one_means_cost(coords, ids[1:]))
+            _assert_same_sides(got, want, fields)
+            _assert_same_sides(got, _reference_lloyd_two_means(coords, ids, config, rng), fields)
+            no_keys = np.empty((1, 0), dtype=np.int64)
+            first, draws = _restart_draws(rng, no_keys, np.array([len(ids)]), config.lloyd_restarts)
+            batch = algorithms._lloyd_batch(coords, [ids], config, first, draws)[0]
+            _assert_same_sides(got, batch, fields)
+
+
+def test_equal_point_nodes_skip_the_batch_beside_other_nodes(monkeypatch):
+    # Equal-point nodes of 5, 6 and 7 points share the bracket [4, 8) with
+    # ordinary nodes of 4, 5 and 7 points. Only the ordinary ones are run,
+    # and each node splits as it does alone and as the per-restart loop.
+    batched = []
+    run = algorithms._lloyd_batch
+
+    def recording(coords, nodes, config, first, draws):
+        batched.extend(ids.tolist() for ids in nodes)
+        return run(coords, nodes, config, first, draws)
+
+    monkeypatch.setattr(algorithms, "_lloyd_batch", recording)
+    g = np.random.default_rng(32)
+    coords = np.vstack(
+        [np.full((5, 2), 0.1), np.zeros((6, 2)), np.full((7, 2), -3.0), g.standard_normal((16, 2))]
+    )
+    cuts = [0, 5, 11, 18, 22, 27, 34]
+    nodes = [np.arange(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+    keys = 3 * np.arange(len(nodes))[:, None] + 2
+    for fields in SETTINGS:
+        config = TwoMeansSolverConfig(kind="lloyd", seed=7, **fields)
+        rng = RngStream(7)
+        batched.clear()
+        got = _split_nodes(coords, nodes, keys, config, rng)
+        assert batched == [ids.tolist() for ids in nodes[3:]]
+        for k, ids in enumerate(nodes):
+            alone = _split_nodes(coords, [ids], keys[k : k + 1], config, rng)[0]
+            _assert_same_sides(got[k], alone, fields)
+            want = _reference_lloyd_two_means(coords, ids, config, rng.substream(keys[k, 0]))
+            _assert_same_sides(got[k], want, fields)
+
+
+# ----------------------------------------------------------------------
 # bisecting 2-means, one depth at a time
 
 
