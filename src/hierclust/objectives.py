@@ -181,10 +181,13 @@ def _pair_revenues(dist: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """min(dist / delta, 1) elementwise, or 1 where delta is 0: the revenue of split pairs.
 
     `dist` holds pair distances and `delta` the larger of each pair's two
-    distances to its own side's centroid.
+    distances to its own side's centroid, in the shape of the result.
     """
-    safe = np.where(delta == 0.0, 1.0, delta)
-    return np.where(delta == 0.0, 1.0, np.minimum(dist / safe, 1.0))
+    zero = delta == 0.0
+    out = dist / np.where(zero, 1.0, delta)
+    np.minimum(out, 1.0, out=out)
+    out[zero] = 1.0
+    return out
 
 
 def pair_revenue(
@@ -233,8 +236,8 @@ def _split_revenue_blocks(
 
     The blocks are `metricspace._row_blocks`, as `_distance_blocks` lays
     them out, and every value has the bits of `_pair_revenues` on the
-    block's exact distances; only pairs that provably earn 1 skip the exact
-    distance.
+    block's exact distances. With two or more coordinates, pairs that
+    provably earn 1 skip the exact distance.
 
     The screen. A pair earns exactly 1.0 iff delta = 0 or fl(sqrt(s)) >=
     delta, where s is numpy's sum of the pair's squared differences: if
@@ -279,7 +282,8 @@ def _split_revenue_blocks(
     dr = np.sqrt(((pr - _centroid(pr)) ** 2).sum(axis=1))
     if coords.shape[1] == 1:
         # One coordinate: the exact squared distance is a single rounded
-        # square, no dearer than a bound on it.
+        # square, no dearer than a bound on it, and the screen's (rows,
+        # cols) arrays would each be as large as the whole row block.
         for s, cross in _distance_blocks(pl, pr):
             yield _pair_revenues(cross, np.maximum(dl[s : s + len(cross), None], dr[None, :]))
         return

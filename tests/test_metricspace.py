@@ -175,15 +175,16 @@ def _full_distances(coords):
     return out
 
 
-@pytest.mark.parametrize("na,nb,dim", [(1, 1, 1), (5000, 1000, 1), (2000, 2000, 1), (300, 300, 1022), (10, 5000, 1000)])
+@pytest.mark.parametrize(
+    "na,nb,dim", [(1, 1, 1), (5000, 1000, 1), (2000, 2000, 1), (300, 300, 1022), (10, 5000, 1000)]
+)
 def test_row_blocks_tile_the_rows_within_the_entry_cap(na, nb, dim):
     # Equal blocks of as many rows as fit `_BLOCK_ENTRIES` (at least one),
     # the last one shorter; `_distance_blocks` yields exactly these blocks.
-    a, b = np.zeros((na, dim)), np.zeros((nb, dim))
+    a, b = np.broadcast_to(0.0, (na, dim)), np.broadcast_to(0.0, (nb, dim))
     blocks = list(_row_blocks(a, b))
     step = max(1, _BLOCK_ENTRIES // (nb * dim))
     assert [r.start for r in blocks] == list(range(0, na, step))
-    assert all(r.stop - r.start == step for r in blocks)
     assert [len(a[r]) for r in blocks][:-1] == [step] * (len(blocks) - 1)
     assert step == 1 or step * nb * dim <= _BLOCK_ENTRIES
     if na * nb * dim <= 4 * _BLOCK_ENTRIES:
