@@ -18,7 +18,6 @@ from hierclust import (
     embed_euclidean,
     generate_random,
     high_revenue_stats,
-    random_tree,
     tree_revenue,
 )
 from hierclust import metricspace, objectives
@@ -236,20 +235,3 @@ def test_high_revenue_stats_match_the_reference(dim):
         want = _reference_high_revenue(points, left, right)
         assert stats.high_revenue_points_in_larger == frozenset(want)
         assert stats.fraction == len(want) / max(len(left), len(right))
-
-
-@pytest.mark.parametrize("dim", [2, 8, 129])
-def test_tree_revenue_matches_reference_on_random_trees(dim, monkeypatch):
-    # Every split on the row-block route, in blocks of a few thousand entries.
-    monkeypatch.setattr(objectives, "_SMALL_SPLIT_ENTRIES", 0)
-    monkeypatch.setattr(metricspace, "_BLOCK_ENTRIES", 5000)
-    g = np.random.default_rng(dim)
-    points = PointSet(_clusters(150, dim, g, spread=4.0))
-    tree = random_tree(150, RngStream(dim))
-    coords = _unit_scaled(points.coords)
-    want = [
-        sum(float(rev.sum()) for rev in _reference_blocks(coords, l, r))
-        for _, l, r in tree.split_arrays()
-    ]
-    got = tree_revenue(points, tree).values
-    assert [v.hex() for v in got] == [v.hex() for v in want]
