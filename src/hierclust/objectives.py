@@ -186,7 +186,7 @@ def _pair_revenues(dist: np.ndarray, delta: np.ndarray) -> np.ndarray:
     zero = delta == 0.0
     out = dist / np.where(zero, 1.0, delta)
     np.minimum(out, 1.0, out=out)
-    out[zero] = 1.0
+    np.copyto(out, 1.0, where=zero)
     return out
 
 
@@ -281,9 +281,11 @@ def _split_revenue_blocks(
     dl = np.sqrt(((pl - _centroid(pl)) ** 2).sum(axis=1))
     dr = np.sqrt(((pr - _centroid(pr)) ** 2).sum(axis=1))
     if coords.shape[1] == 1:
-        # One coordinate: the exact squared distance is a single rounded
-        # square, no dearer than a bound on it, and the screen's (rows,
-        # cols) arrays would each be as large as the whole row block.
+        # One coordinate: the exact distance is one subtraction, no dearer
+        # than the bound, so the screen saves little where it certifies and
+        # costs a gather where it does not. On a 2000x1 random tree, where
+        # half the row-block pairs miss the bound, the screen took 1.4x the
+        # exact block's time (BENCH_revenue_screen.json).
         for s, cross in _distance_blocks(pl, pr):
             yield _pair_revenues(cross, np.maximum(dl[s : s + len(cross), None], dr[None, :]))
         return
