@@ -4,8 +4,9 @@ Everything downstream (objectives, tree builders, ground-truth instances)
 works on the two containers defined here: an (n, dim) coordinate array and an
 (n, n) symmetric dissimilarity matrix. Both are immutable after construction
 and safe to share across threads. Batched code sums through
-`_segment_sums` and `_group_sums`, which add in numpy's own order, so a
-batch agrees bit for bit with numpy summing each part alone.
+`_segment_sums` and `_group_sums`, and distances come from
+`_plane_distances`; all three add in numpy's own order, so a batch agrees
+bit for bit with numpy summing each part alone.
 """
 
 from __future__ import annotations
@@ -62,6 +63,10 @@ class PointSet:
         return self.coords[i]
 
 
+# Rows of one stripe of the symmetry check in `DistanceMatrix`.
+_SYMMETRY_ROWS = 256
+
+
 @dataclass(frozen=True)
 class DistanceMatrix:
     """Symmetric nonnegative pairwise values with a zero diagonal.
@@ -74,7 +79,21 @@ class DistanceMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=np.float64, copy=True)
+        self._hold(np.array(self.values, dtype=np.float64, copy=True))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "DistanceMatrix":
+        """A matrix that holds the float64 array `arr` itself, checked as a copy would be.
+
+        Only for an array no other code holds, such as the one
+        `pairwise_distances` fills: the constructor's copy would be a
+        second n x n array alive at once.
+        """
+        matrix = object.__new__(cls)
+        matrix._hold(arr)
+        return matrix
+
+    def _hold(self, arr: np.ndarray) -> None:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"values must be a square matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
@@ -85,8 +104,13 @@ class DistanceMatrix:
             raise ValueError("entries must be nonnegative")
         if np.any(np.diagonal(arr) != 0.0):
             raise ValueError("diagonal must be zero")
-        if not np.array_equal(arr, arr.T):
-            raise ValueError("matrix must be symmetric")
+        # Stripe by stripe, each row of a stripe against its column from the
+        # diagonal on: every entry still meets its mirror, and the stripes
+        # stay in cache where the whole transpose does not.
+        w = _SYMMETRY_ROWS
+        for s in range(0, arr.shape[0], w):
+            if not np.array_equal(arr[s : s + w, s:], arr[s:, s : s + w].T):
+                raise ValueError("matrix must be symmetric")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -224,12 +248,72 @@ def _group_sums(rows: np.ndarray, group: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(bins, rows.ravel(), (n + 1) * dim)[: n * dim].reshape(n, dim)
 
 
-# Entries of one temporary of a blocked array pass: about 32 MB of float64.
+# numpy's pairwise float sum (`pairwise_sum` in its loops_utils.h): a run
+# of fewer than 8 terms is added left to right; a run of up to 128 in 8
+# interleaved lanes, joined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 +
+# r7)), then its last n % 8 terms one by one; a longer run is split in two,
+# the first half a multiple of 8 long.
+_PAIRWISE_LANES = 8
+_PAIRWISE_BLOCK = 128
+
+
+def _square_plane(at: np.ndarray, bt: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+    """`out` set to the squared differences in coordinate k of every (row of a, row of b)."""
+    # b - a is -(a - b) exactly, so its square has the same bits; numpy
+    # subtracts a column in place faster than it broadcasts both sides.
+    np.copyto(out, bt[k])
+    np.subtract(out, at[k, :, None], out=out)
+    return np.multiply(out, out, out=out)
+
+
+def _plane_sum(at: np.ndarray, bt: np.ndarray, lo: int, n: int, spare: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum of the squared-difference planes of coordinates lo .. lo + n - 1."""
+    if n < _PAIRWISE_LANES:
+        acc = _square_plane(at, bt, lo, np.empty_like(spare))
+        for k in range(lo + 1, lo + n):
+            acc += _square_plane(at, bt, k, spare)
+        return acc
+    if n <= _PAIRWISE_BLOCK:
+        r = [_square_plane(at, bt, lo + j, np.empty_like(spare)) for j in range(_PAIRWISE_LANES)]
+        tail = lo + n - n % _PAIRWISE_LANES
+        for i in range(lo + _PAIRWISE_LANES, tail, _PAIRWISE_LANES):
+            for j in range(_PAIRWISE_LANES):
+                r[j] += _square_plane(at, bt, i + j, spare)
+        for x, y in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+            r[x] += r[y]
+        for k in range(tail, lo + n):
+            r[0] += _square_plane(at, bt, k, spare)
+        return r[0]
+    half = n // 2 - n // 2 % _PAIRWISE_LANES
+    acc = _plane_sum(at, bt, lo, half, spare)
+    acc += _plane_sum(at, bt, lo + half, n - half, spare)
+    return acc
+
+
+def _plane_distances(at: np.ndarray, bt: np.ndarray) -> np.ndarray:
+    """out[i, j]: numpy's own `np.sqrt(((a[i] - b[j]) ** 2).sum())`, from at = a.T and bt = b.T.
+
+    The (rows, cols) plane of squared differences in one coordinate is
+    formed at a time, and the planes are added as numpy adds the dim terms
+    of one pair, so every pair gets the float numpy gives it. The squares
+    are +0.0 or more, so starting a run at its first term rather than at
+    numpy's -0.0, and numpy's final 0.0 + sum, change no bit. About ten
+    planes live at once: the 8 lanes, the spare and one partial sum per
+    halving above 128 coordinates.
+    """
+    spare = np.empty((at.shape[1], bt.shape[1]))
+    return np.sqrt(_plane_sum(at, bt, 0, len(at), spare), out=spare)
+
+
+# Caps the pairs-times-coordinates of one row block: rows * len(b) * dim
+# stays within about 4e6. The cap sets the row-block layout, which later
+# sums group by, and keeps the coordinate planes of `_plane_distances` to
+# about 10 * rows * len(b) entries.
 _BLOCK_ENTRIES = 4_000_000
 
 
 def _row_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[slice]:
-    """Row slices of `a` whose (rows, len(b), dim) pair-coordinate block fits `_BLOCK_ENTRIES`.
+    """Row slices of `a` whose rows * len(b) * dim fits `_BLOCK_ENTRIES`.
 
     Whoever sums a block's values must use these slices: the row blocks
     group a later sum, so its bits depend on them.
@@ -241,14 +325,14 @@ def _row_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[slice]:
 def _distance_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
     """Yield (first_row, block): Euclidean distances from a row block of `a` to every row of `b`.
 
-    Row blocks (`_row_blocks`) cap the (rows, len(b), dim) difference
-    temporary at `_BLOCK_ENTRIES` whatever the sizes; one block for all of
-    `a` takes gigabytes on a few thousand points or a wide ultrametric
-    embedding. The difference is one expression, so no name holds it across
-    the yield.
+    The blocks are `_row_blocks`, and each one comes from
+    `_plane_distances`, so every distance has the bits of numpy's own
+    `np.sqrt(((a[i] - b) ** 2).sum(axis=1))`.
     """
+    at = a.T
+    bt = np.ascontiguousarray(b.T)
     for rows in _row_blocks(a, b):
-        yield rows.start, np.sqrt(((a[rows, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+        yield rows.start, _plane_distances(at[:, rows], bt)
 
 
 # Rows of one block of the upper triangle in `pairwise_distances`. The part
@@ -260,20 +344,23 @@ _TRIANGLE_ROWS = 64
 def pairwise_distances(points: PointSet) -> DistanceMatrix:
     """Full symmetric matrix of Euclidean distances.
 
-    Each unordered pair is computed once: the upper triangle in row blocks
-    of `_distance_blocks`, then mirrored. A pair's squared differences are
-    the same floats in either order, so the matrix equals the one a full
-    computation gives, bit for bit.
+    Each unordered pair is computed once: the upper triangle in blocks of
+    `_TRIANGLE_ROWS` rows by `_plane_distances`, each block written with
+    its mirror. A pair's squared differences are the same floats in either
+    order, so the matrix equals the one a full computation gives, bit for
+    bit. A block's planes hold about 10 * `_TRIANGLE_ROWS` * n entries, a
+    small share of the n * n matrix once n passes a few hundred, and the
+    matrix is checked in place, not copied.
     """
-    coords = points.coords
+    ct = np.ascontiguousarray(points.coords.T)
     n = points.n
     out = np.empty((n, n), dtype=np.float64)
     for s in range(0, n, _TRIANGLE_ROWS):
         e = min(s + _TRIANGLE_ROWS, n)
-        for r, block in _distance_blocks(coords[s:e], coords[s:]):
-            out[s + r : s + r + len(block), s:] = block
-        out[s:e, :s] = out[:s, s:e].T
-    return DistanceMatrix(out)
+        block = _plane_distances(ct[:, s:e], ct[:, s:])
+        out[s:e, s:] = block
+        out[s:, s:e] = block.T
+    return DistanceMatrix._adopt(out)
 
 
 def _first_violation(

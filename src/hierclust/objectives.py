@@ -220,8 +220,8 @@ def pair_revenue(
 def _gathered_revenues(a: np.ndarray, b: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Revenue of the pairs (a[k], b[k]) with radii `delta[k]`, from their exact distances.
 
-    numpy sums each contiguous row of the (K, dim) squared differences as
-    it sums each pair's last axis in a (rows, cols, dim) block, so every
+    numpy sums each contiguous row of the (K, dim) squared differences in
+    the order `metricspace._plane_distances` adds its planes, so every
     distance has the bits `_distance_blocks` gives it. `a` is overwritten.
     """
     a -= b

@@ -13,8 +13,11 @@ from hierclust import (
     kmeans_cost,
     pairwise_distances,
 )
+from hierclust import metricspace
 from hierclust.metricspace import (
     _BLOCK_ENTRIES,
+    _SYMMETRY_ROWS,
+    _TRIANGLE_ROWS,
     _distance_blocks,
     _group_sums,
     _row_blocks,
@@ -165,6 +168,7 @@ def test_pairwise_output_is_valid_matrix():
         dm = pairwise_distances(PointSet(g.standard_normal((n, 3)) * 10))
         # DistanceMatrix construction already enforced symmetry etc.
         assert dm.n == n
+        assert not dm.values.flags.writeable
 
 
 def _full_distances(coords):
@@ -205,6 +209,91 @@ def test_pairwise_triangle_equals_full_computation(n, dim):
     for coords in cases:
         got = pairwise_distances(PointSet(coords)).values
         assert np.array_equal(got, _full_distances(PointSet(coords).coords))
+
+
+def _numpy_distances(a, b):
+    """numpy's own broadcast expression: the bits every distance kernel must give."""
+    return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+
+
+def _blocked(a, b):
+    out = np.empty((len(a), len(b)))
+    for s, block in _distance_blocks(a, b):
+        out[s : s + len(block)] = block
+    return out
+
+
+# Both sides of numpy's 8 lanes, its 128-term blocks and its halvings.
+ORACLE_DIMS = [*range(1, 10), 15, 16, 17, 31, 32, 33, 127, 128, 129, 255, 256, 257, 1022]
+
+
+def _oracle_cases(n, dim):
+    g = np.random.default_rng(dim)
+    x = g.standard_normal((n, dim))
+    signed_zeros = np.where(g.random((n, dim)) < 0.5, -0.0, 0.0)
+    signed_zeros[g.random((n, dim)) < 0.3] = 1.5
+    return {
+        "gaussian": x,
+        "coincident": x[np.arange(n) % 3],
+        "signed_zeros": signed_zeros,
+        "times_2^600": np.ldexp(x, 600),  # squares overflow to inf
+        "times_2^-600": np.ldexp(x, -600),  # squares underflow to 0
+        "subnormal_squares": np.ldexp(x, -530),
+    }
+
+
+@pytest.mark.parametrize("dim", ORACLE_DIMS)
+def test_distances_match_numpy_expression(dim, monkeypatch):
+    # `pairwise_distances` and `_distance_blocks` add coordinate planes in
+    # numpy's summation order; here they meet numpy's own expression, not
+    # each other. Row counts straddle `_TRIANGLE_ROWS`.
+    n = _TRIANGLE_ROWS + 3
+    for name, coords in _oracle_cases(n, dim).items():
+        a, b = coords, coords[: n - 22]
+        with np.errstate(over="ignore"):
+            want = _hex(_numpy_distances(a, b))
+            assert _hex(_blocked(a, b)) == want, name
+            # Blocks of 5 rows, the last one of 2.
+            monkeypatch.setattr(metricspace, "_BLOCK_ENTRIES", 5 * len(b) * dim)
+            assert _hex(_blocked(a, b)) == want, name
+            monkeypatch.undo()
+        if name == "times_2^600":
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+                pairwise_distances(PointSet(coords))
+            continue
+        for m in (1, 3, n):
+            got = pairwise_distances(PointSet(coords[:m])).values
+            assert _hex(got) == _hex(_numpy_distances(coords[:m], coords[:m])), (name, m)
+    if dim <= 9:
+        # Many triangle blocks, the last one partial.
+        x = np.random.default_rng(dim).standard_normal((9 * _TRIANGLE_ROWS + 5, dim))
+        assert _hex(pairwise_distances(PointSet(x)).values) == _hex(_numpy_distances(x, x))
+
+
+def test_distances_match_numpy_expression_on_drawn_points():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+    from hypothesis.extra import numpy as hnp
+
+    # Squares of 1e100 and sums of a few hundred of them stay finite.
+    finite = st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False)
+
+    @st.composite
+    def point_pairs(draw):
+        dim = draw(st.sampled_from([1, 2, 7, 8, 9, 16, 17, 40, 129, 200]))
+        a = draw(hnp.arrays(np.float64, (draw(st.integers(1, 12)), dim), elements=finite))
+        b = draw(hnp.arrays(np.float64, (draw(st.integers(1, 12)), dim), elements=finite))
+        return a, b
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(point_pairs())
+    def check(pair):
+        a, b = pair
+        assert _hex(_blocked(a, b)) == _hex(_numpy_distances(a, b))
+        got = pairwise_distances(PointSet(a)).values
+        assert _hex(got) == _hex(_numpy_distances(a, a))
+
+    check()
 
 
 def test_euclidean_distances_are_metric():
@@ -300,6 +389,26 @@ def test_distance_matrix_validation():
         DistanceMatrix([[1.0, 1.0], [1.0, 0.0]])  # nonzero diagonal
     with pytest.raises(ValueError):
         DistanceMatrix([[0.0, -1.0], [-1.0, 0.0]])  # negative
+    # The symmetry check runs in stripes of `_SYMMETRY_ROWS` rows; one
+    # asymmetric entry is caught at the far corner, on both sides of a
+    # stripe boundary and inside the last, partial stripe.
+    w = _SYMMETRY_ROWS
+    for n in (1, 2, w - 1, w, w + 1, 600):
+        a = np.random.default_rng(n).random((n, n))
+        values = a + a.T
+        np.fill_diagonal(values, 0.0)
+        assert DistanceMatrix(values).n == n
+        assert DistanceMatrix._adopt(values.copy()).n == n
+        last = (n - 1) // w * w  # the first row of the last stripe
+        cells = {(0, n - 1), (w - 1, w), (w - 2, w + 1), (last, n - 1), (n - 2, n - 1)}
+        for i, j in sorted(c for c in cells if 0 <= c[0] < c[1] < n):
+            for x, y in ((i, j), (j, i)):
+                bad = values.copy()
+                bad[x, y] = np.nextafter(bad[x, y], 2.0)
+                with pytest.raises(ValueError, match="symmetric"):
+                    DistanceMatrix(bad)
+                with pytest.raises(ValueError, match="symmetric"):
+                    DistanceMatrix._adopt(bad)
 
 
 def test_kmeans_solution_invariants():
