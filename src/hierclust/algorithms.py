@@ -36,14 +36,12 @@ generator each.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .hiertree import HierTree, Split, _bipartitions, _divide
-from .metricspace import _BLOCK_ENTRIES as _BATCH_ENTRIES
 from .metricspace import (
     DistanceMatrix,
     PointSet,
@@ -51,6 +49,7 @@ from .metricspace import (
     _group_sums,
     _index_array,
     _one_means_cost,
+    _row_blocks,
     _segment_sums,
     _unit_exponent,
     _unit_scaled,
@@ -79,18 +78,6 @@ def _hash_chain(init: int, mult: int, steps: int) -> List[int]:
 _HASH_B = np.array(_hash_chain(_INIT_B, _MULT_B, 8), dtype=np.uint64)[:, None]
 
 
-def _uint32_words(value: int) -> List[int]:
-    """A nonnegative integer as little-endian 32-bit words, as SeedSequence reads it."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError("expected non-negative integer")
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
-
-
 @dataclass(frozen=True)
 class RngStream:
     """Reproducible randomness: PCG64 keyed by a seed and a substream path.
@@ -100,7 +87,8 @@ class RngStream:
     generator() returns a fresh generator positioned at the stream's start,
     so each stream should feed one consumer. `_pcg64_states` gives the
     starting PCG64 state of many substreams at once, without building a
-    generator for each.
+    generator for each: it starts from the `pool` of the stream's own
+    SeedSequence and mixes in only the substream keys.
     """
 
     seed: int
@@ -125,44 +113,29 @@ class RngStream:
         Every entry of `tails` (an (N, t) integer array, t >= 1) must be
         below 2^32, one SeedSequence word. SeedSequence mixes its words in
         order with a running hash constant, so the seed and path, the prefix
-        every row shares, are mixed once, and only the last t words are
-        mixed as arrays over the rows. The pool then gives four 64-bit
-        words, and PCG64 seeds from them as numpy's C code does.
+        every row shares, are numpy's own `pool` of `self`, and only the
+        last t words are mixed as arrays over the rows. The pool then gives
+        four 64-bit words, and PCG64 seeds from them as numpy's C code does.
         """
         tails = np.asarray(tails, dtype=np.int64)
         if tails.size and not (tails.min() >= 0 and tails.max() <= _MASK32):
             raise ValueError("substream keys for bulk seeding must be in 0..2^32-1")
-        words = _uint32_words(self.seed)
-        words += [0] * (4 - len(words))  # a spawned sequence pads its entropy to the pool
-        for key in self.path:
-            words += _uint32_words(key)
-        # hashes[c]: the hash constant before SeedSequence's c-th hashmix call.
-        hashes = _hash_chain(_INIT_A, _MULT_A, 4 * len(words) + 4 * tails.shape[1])
-        c = 0
-
-        def hashmix(value):
-            nonlocal c
-            c += 1
-            value = ((value ^ hashes[c - 1]) * hashes[c]) & _MASK32
-            return value ^ (value >> 16)
+        pool = self._sequence().pool
+        # The pool spent four hash constants per 32-bit word of the seed,
+        # padded to the pool's four words, and of each path key.
+        words = [-(-max(1, int(v).bit_length()) // 32) for v in (self.seed,) + self.path]
+        c = 4 * (max(4, words[0]) + sum(words[1:]))
+        hashes = _hash_chain(_INIT_A, _MULT_A, c + 4 * tails.shape[1])
+        chain = np.array(hashes, dtype=np.uint64)[:, None]
 
         def mix(x, y):
             z = (_MIX_L * x - _MIX_R * y) & _MASK32
             return z ^ (z >> 16)
 
-        pool = [hashmix(w) for w in words[:4]]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for w in words[4:]:
-            for dst in range(4):
-                pool[dst] = mix(pool[dst], hashmix(w))
         # A row's own words mix into all four pool words at once, as uint64
         # arrays: products of two 32-bit values fit, and a difference that
         # wraps mod 2^64 is still exact mod 2^32 once masked.
-        rows = np.array(pool, dtype=np.uint64)[:, None]
-        chain = np.array(hashes, dtype=np.uint64)[:, None]
+        rows = pool.astype(np.uint64)[:, None]
         for column in tails.T.astype(np.uint64):
             value = ((column ^ chain[c : c + 4]) * chain[c + 1 : c + 5]) & _MASK32
             rows = mix(rows, value ^ (value >> 16))
@@ -278,16 +251,6 @@ def _exhaustive_two_means(coords: np.ndarray, ids: np.ndarray) -> Sides:
 _BRACKET_RANGE = (2.0**-460, 2.0**500)
 
 
-def _run_blocks(runs: int, entries: int) -> Iterator[slice]:
-    """Slices of the runs of a batch, `entries` temporary entries per run.
-
-    A block holds at most `_BATCH_ENTRIES` entries, or one run when a
-    single run is wider than that.
-    """
-    step = max(1, _BATCH_ENTRIES // entries)
-    return (slice(a, a + step) for a in range(0, runs, step))
-
-
 def _squared_distances(pts: np.ndarray, owner: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """out[r, i, k]: squared distance from pts[owner[r], i] to centers[r, k].
 
@@ -299,7 +262,7 @@ def _squared_distances(pts: np.ndarray, owner: np.ndarray, centers: np.ndarray) 
     """
     runs, k, dim = centers.shape
     out = np.empty((runs, pts.shape[1], k))
-    for rs in _run_blocks(runs, pts.shape[1] * k * dim):
+    for rs in _row_blocks(runs, pts.shape[1] * k * dim):
         own = pts if len(pts) == 1 else pts[owner[rs]]
         out[rs] = ((own[:, :, None, :] - centers[rs, None, :, :]) ** 2).sum(axis=3)
     return out
@@ -325,7 +288,7 @@ def _side_sums(
     runs, width = side.shape
     dim = pts.shape[2]
     out = np.empty((runs, 2, dim) if centers is None else (runs, 2))
-    for rs in _run_blocks(runs, 3 * width * dim):
+    for rs in _row_blocks(runs, 3 * width * dim):
         count = len(side[rs])
         # Group 2j + k is side k of the block's j-th run; padding is group 2 * count.
         group = np.where(pad[owner[rs]], 2 * count, side[rs] + 2 * np.arange(count)[:, None])
@@ -429,9 +392,10 @@ def _lloyd_batch(
     Nodes may differ in size: each is padded with zero rows to the largest,
     and every sum leaves the padding out. A run's k-means++ total is
     `_segment_sums` of its own seed distances, and its side sums come from
-    `_side_sums`, each as a lone restart sums it. Blocks of runs cap every
-    batch temporary at `_BATCH_ENTRIES` entries (about 32 MB), or at a few
-    times a node's points when a single run is wider.
+    `_side_sums`, each as a lone restart sums it. Blocks of runs from
+    `metricspace._row_blocks` cap every batch temporary at about 4e6
+    entries (32 MB), or at a few times a node's points when a single run
+    is wider.
     """
     restarts = config.lloyd_restarts
     sizes = np.array([len(ids) for ids in nodes])

@@ -305,21 +305,23 @@ def _plane_distances(at: np.ndarray, bt: np.ndarray) -> np.ndarray:
     return np.sqrt(_plane_sum(at, bt, 0, len(at), spare), out=spare)
 
 
-# Caps the pairs-times-coordinates of one row block: rows * len(b) * dim
-# stays within about 4e6. The cap sets the row-block layout, which later
-# sums group by, and keeps the coordinate planes of `_plane_distances` to
-# about 10 * rows * len(b) entries.
+# Caps the entries of one row block: rows * width stays within about 4e6.
+# For distances a row's width is len(b) * dim, so the cap sets the row-block
+# layout, which later sums group by, and keeps the coordinate planes of
+# `_plane_distances` to about 10 * rows * len(b) entries. Lloyd batches
+# (`algorithms`) cap their temporaries with it too.
 _BLOCK_ENTRIES = 4_000_000
 
 
-def _row_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[slice]:
-    """Row slices of `a` whose rows * len(b) * dim fits `_BLOCK_ENTRIES`.
+def _row_blocks(rows: int, width: int) -> Iterator[slice]:
+    """Slices of `rows` rows of `width` entries each: as many rows as fit `_BLOCK_ENTRIES`.
 
-    Whoever sums a block's values must use these slices: the row blocks
-    group a later sum, so its bits depend on them.
+    A block holds one row when a single row is wider than that. Whoever
+    sums a block's values must use these slices: the row blocks group a
+    later sum, so its bits depend on them.
     """
-    step = max(1, _BLOCK_ENTRIES // max(1, len(b) * a.shape[1]))
-    return (slice(s, s + step) for s in range(0, len(a), step))
+    step = max(1, _BLOCK_ENTRIES // max(1, width))
+    return (slice(s, s + step) for s in range(0, rows, step))
 
 
 def _distance_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
@@ -331,7 +333,7 @@ def _distance_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[Tuple[int, np.nda
     """
     at = a.T
     bt = np.ascontiguousarray(b.T)
-    for rows in _row_blocks(a, b):
+    for rows in _row_blocks(len(a), len(b) * a.shape[1]):
         yield rows.start, _plane_distances(at[:, rows], bt)
 
 

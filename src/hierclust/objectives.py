@@ -19,6 +19,14 @@ Three objectives are evaluated here:
 The per-split view and the per-pair view of each objective are both
 implemented; they must agree, and `tree_revenue` exposes both as modes.
 
+Every revenue route takes a side's radii, each point's distance to its own
+side's centroid, from one rule, `_radii`: the row blocks with the side in
+leaf order; `pair_revenue`, the per-pair view and the subset DP of
+`brute_force_opt` with it in index order. The batched small splits apply
+the same rule through `metricspace`'s sums, bit for bit. The pairs that the
+screened row blocks and the batch gather take their exact distances and
+revenues from one kernel, `_gathered_revenues`.
+
 Revenue by splits takes one of two routes per split, chosen by the split's
 own size. A split whose |S1|*|S2|*dim is at most `_SMALL_SPLIT_ENTRIES`
 (8192) is scored with the other small splits of its tree in one batched
@@ -167,14 +175,17 @@ _SMALL_SPLIT_ENTRIES = 1 << 13
 _BATCH_ENTRIES = 1 << 20
 
 
-def _centroid(pts: np.ndarray) -> np.ndarray:
-    """Mean of the rows of `pts`, or the first row when every row equals it.
+def _radii(pts: np.ndarray) -> np.ndarray:
+    """Distance from each row of `pts` to their centroid, in row order.
 
-    A side of equal points then sits exactly on its centroid, so its radii
-    are exactly 0, whatever rounding would make of the mean of several
-    copies of one value.
+    The centroid is `pts.mean(axis=0)`, or the first row when every row
+    equals it: a side of equal points then sits exactly on its centroid,
+    so its radii are exactly 0, whatever rounding would make of the mean of
+    several copies of one value. Every revenue route takes a side's radii
+    from here, or (the batched small splits) from the same arithmetic.
     """
-    return pts[0] if (pts == pts[0]).all() else pts.mean(axis=0)
+    c = pts[0] if (pts == pts[0]).all() else pts.mean(axis=0)
+    return np.sqrt(((pts - c) ** 2).sum(axis=1))
 
 
 def _pair_revenues(dist: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -205,11 +216,8 @@ def pair_revenue(
     if j not in right:
         raise ValueError(f"point {j} is not in the right side")
     coords = points.coords
-    rho_l = _centroid(coords[np.fromiter(sorted(left), dtype=np.intp)])
-    rho_r = _centroid(coords[np.fromiter(sorted(right), dtype=np.intp)])
-    di = coords[i] - rho_l
-    dj = coords[j] - rho_r
-    delta = max(float(np.sqrt((di * di).sum())), float(np.sqrt((dj * dj).sum())))
+    l, r = sorted(left), sorted(right)
+    delta = max(float(_radii(coords[l])[l.index(i)]), float(_radii(coords[r])[r.index(j)]))
     if delta == 0.0:
         return 1.0
     dij = coords[i] - coords[j]
@@ -278,8 +286,8 @@ def _split_revenue_blocks(
     """
     pl = coords[left]
     pr = coords[right]
-    dl = np.sqrt(((pl - _centroid(pl)) ** 2).sum(axis=1))
-    dr = np.sqrt(((pr - _centroid(pr)) ** 2).sum(axis=1))
+    dl = _radii(pl)
+    dr = _radii(pr)
     if coords.shape[1] == 1:
         # One coordinate: the exact distance is one subtraction, no dearer
         # than the bound, so the screen saves little where it certifies and
@@ -295,7 +303,7 @@ def _split_revenue_blocks(
     tl = dl * dl * (1 + slack) + 2.0**-1000
     tr = dr * dr * (1 + slack) + 2.0**-1000
     twice = 2.0 * pr
-    for rows in _row_blocks(pl, pr):
+    for rows in _row_blocks(len(pl), len(pr) * pl.shape[1]):
         low = al[rows, None] + ar[None, :]
         low -= np.einsum("ik,jk->ij", pl[rows], twice)
         # The threshold grows with delta, so passing both sides' thresholds
@@ -335,7 +343,7 @@ def _small_split_values(
     pts = coords[np.concatenate(sides)]
     centroid = _group_sums(pts, np.repeat(np.arange(len(sides)), length), len(sides))
     centroid /= length[:, None]
-    # A side of equal points is its own centroid, as in `_centroid`.
+    # A side of equal points is its own centroid, as in `_radii`.
     same = (pts == np.repeat(pts[head], length, axis=0)).all(axis=1)
     equal = np.logical_and.reduceat(same, head)
     centroid[equal] = pts[head[equal]]
@@ -346,8 +354,8 @@ def _small_split_values(
     t = np.arange(len(split)) - np.repeat(np.cumsum(count) - count, count)
     i = head[2 * split] + t // width[split]
     j = head[2 * split + 1] + t % width[split]
-    dist = np.sqrt(((pts[i] - pts[j]) ** 2).sum(axis=1))
-    return _segment_sums(_pair_revenues(dist, np.maximum(radius[i], radius[j])), count).tolist()
+    rev = _gathered_revenues(pts[i], pts[j], np.maximum(radius[i], radius[j]))
+    return _segment_sums(rev, count).tolist()
 
 
 def _revenue_values(coords: np.ndarray, tree: HierTree) -> List[float]:
@@ -383,28 +391,25 @@ def _revenue_values(coords: np.ndarray, tree: HierTree) -> List[float]:
 def _pair_revenue_values(coords: np.ndarray, tree: HierTree) -> List[float]:
     """Per-split revenue summed pair by pair, in (i, j) order, as `pair_revenue` scores a pair.
 
-    Each split's centroids and each point's distance to its own side's
-    centroid are computed once per split, and the distances from point i
-    once per row, with `pair_revenue`'s expressions; each pair then costs a
-    few float operations, not two frozensets and two centroids.
+    Each point's distance to its own side's centroid is `_radii` of the
+    side in sorted order, once per split. Row i then scores its pairs (i,
+    j > i) in one array pass, with `pair_revenue`'s distance expression and
+    `_pair_revenues`, and `np.add.at` adds them into their splits' totals
+    one after another, in j order: the order of a loop over the pairs.
     """
     arrays = tree.split_arrays()
-    n = len(coords)
-    radius = np.zeros((len(arrays), n))
+    radius = np.zeros((len(arrays), len(coords)))
     for s, (_, l, r) in enumerate(arrays):
         for side in (np.sort(l), np.sort(r)):
-            q = coords[side] - _centroid(coords[side])
-            radius[s, side] = np.sqrt((q * q).sum(axis=1))
-    radii = radius.tolist()
-    values = [0.0] * len(arrays)
-    for i, row in enumerate(tree._split_index().tolist()):
+            radius[s, side] = _radii(coords[side])
+    values = np.zeros(len(arrays))
+    for i, row in enumerate(tree._split_index()):
+        s = row[i + 1 :]
         diff = coords[i] - coords[i + 1 :]
-        dist = np.sqrt((diff * diff).sum(axis=1)).tolist()
-        for j in range(i + 1, n):
-            s = row[j]
-            delta = max(radii[s][i], radii[s][j])
-            values[s] += 1.0 if delta == 0.0 else min(dist[j - i - 1] / delta, 1.0)
-    return values
+        dist = np.sqrt((diff * diff).sum(axis=1))
+        delta = np.maximum(radius[s, i], radius[s, np.arange(i + 1, len(coords))])
+        np.add.at(values, s, _pair_revenues(dist, delta))
+    return values.tolist()
 
 
 def _check_tree_points(points: PointSet, tree: HierTree) -> None:
@@ -435,10 +440,12 @@ def tree_revenue(points: PointSet, tree: HierTree, mode: str = "split_sum") -> O
     provably at least delta^2 earns 1 without its exact distance (a lower
     bound from norms and an einsum dot product, never BLAS), which changes
     no bit of any value.
-    ``pair_sum`` walks all n(n-1)/2 pairs, finds the split separating each
-    pair, and adds what `pair_revenue` would return for it, bit for bit,
-    from centroids computed once per split. The two modes evaluate the same
-    function and must agree to float accumulation error.
+    ``pair_sum`` scores all n(n-1)/2 pairs, each in the split separating
+    it, as `pair_revenue` would, bit for bit: the radii are `_radii` of
+    each side once per split, the pairs (i, j > i) of row i go in one array
+    pass, and each pair is added into its split's total in (i, j) order.
+    The two modes evaluate the same function and must agree to float
+    accumulation error.
 
     A side whose points are all equal has that point as its centroid, so its
     radii are exactly 0; a pair between two such sides earns 1.
@@ -563,40 +570,26 @@ def triangle_decompose(
 
 # The largest n `brute_force_opt` and the `enumerate-opt` command serve,
 # for a budget of one second per call. On 2 vCPUs the subset DP takes
-# 0.5-0.75 s for revenue at n = 12 (3 to 1000 coordinates) and 0.1-0.2 s
-# for ckmm and dasgupta; n = 13 takes 1.1-1.8 s for revenue.
+# 0.4-0.6 s for revenue at n = 12 (3 to 1000 coordinates; the subset radii
+# 0.1-0.18 s of it) and 0.1-0.15 s for ckmm and dasgupta; n = 13 takes
+# 1.4-1.6 s for revenue.
 OPT_MAX_N = 12
-
-# Entries of one temporary in `_subset_radii`: 8 MB of float64.
-_SUBSET_ENTRIES = 1 << 20
 
 
 def _subset_radii(coords: np.ndarray) -> np.ndarray:
     """out[S, i]: distance from point i to the centroid of the subset with bitmask S.
 
-    A subset of equal points takes that point as its centroid, as
-    `_centroid` does, so its radii are exactly 0. Any other centroid adds
-    its points one after another in index order. Where those sums are
-    exact, such as small integers, that is the centroid
-    `_split_revenue_blocks` computes; elsewhere the two agree to rounding.
-    Row 0 and the entries of points outside S are never read.
+    Each subset's row is `_radii` of its points in index order, the order
+    in which `pair_revenue` takes a side, so a subset of equal points has
+    radii exactly 0. Row 0 and the entries of points outside S are never
+    read.
     """
-    n, dim = coords.shape
+    n = len(coords)
     out = np.zeros((1 << n, n))
-    equal = (coords[:, None, :] == coords[None, :, :]).all(axis=2)
-    step = max(1, _SUBSET_ENTRIES // dim)
-    for s in range(1, 1 << n, step):
-        masks = np.arange(s, min(s + step, 1 << n))
-        member = (masks[:, None] >> np.arange(n)) & 1 == 1
-        total = np.zeros((len(masks), dim))
-        for i in range(n):
-            total += np.where(member[:, i, None], coords[i], 0.0)
-        mean = total / member.sum(axis=1)[:, None]
-        first = member.argmax(axis=1)
-        same = ~(member & ~equal[first]).any(axis=1)
-        mean[same] = coords[first[same]]
-        for i in range(n):
-            out[masks, i] = np.sqrt(((coords[i] - mean) ** 2).sum(axis=1))
+    bit = 1 << np.arange(n)
+    for mask in range(1, 1 << n):
+        ids = np.flatnonzero(mask & bit)
+        out[mask, ids] = _radii(coords[ids])
     return out
 
 
@@ -615,7 +608,8 @@ def brute_force_opt(
     Every subset of two or more points is solved once, from smaller ones,
     with all its bipartitions scored as one array pass: (3^n - 2^(n+1) + 1)/2
     split values in all, in place of (2n-3)!! trees of n-1 splits each.
-    n is capped at `OPT_MAX_N`.
+    n is capped at `OPT_MAX_N`. Revenue takes every subset's radii from
+    `_subset_radii`, `_radii` of the subset in index order.
 
     Ties: S1 always holds the lowest index of S, and a subset's bipartitions
     are visited in increasing order of the bitmask of S1 (bit i for point

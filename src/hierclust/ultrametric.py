@@ -67,7 +67,7 @@ class UltrametricSpec:
             w = self.node_weights[nid]
             values[np.ix_(l, r)] = w
             values[np.ix_(r, l)] = w
-        return DistanceMatrix(values)
+        return DistanceMatrix._adopt(values)
 
     def serialize(self) -> str:
         """Annotated tree text with ``:weight`` after each internal node."""

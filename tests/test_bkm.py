@@ -31,7 +31,7 @@ from hierclust import (
     synth_gaussian_mixture,
     two_means,
 )
-from hierclust import algorithms
+from hierclust import algorithms, metricspace
 from hierclust.algorithms import (
     _exhaustive_two_means,
     _ordered_split,
@@ -173,14 +173,30 @@ def test_lloyd_matches_per_restart_loop_on_ties(name):
         _assert_matches(coords, np.arange(len(coords)), seed=seed)
 
 
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Lloyd batches sliced in blocks of at most 60 entries; collects each slicing's block count."""
+    monkeypatch.setattr(metricspace, "_BLOCK_ENTRIES", 60)
+    counts = []
+    slicer = algorithms._row_blocks
+
+    def counting(rows, width):
+        blocks = list(slicer(rows, width))
+        counts.append(len(blocks))
+        return iter(blocks)
+
+    monkeypatch.setattr(algorithms, "_row_blocks", counting)
+    return counts
+
+
 @pytest.mark.parametrize("dim", [2, 3, 8, 200])
-def test_lloyd_matches_per_restart_loop_in_small_blocks(monkeypatch, dim):
+def test_lloyd_matches_per_restart_loop_in_small_blocks(small_blocks, dim):
     # Every run is wider than a block, so each gets a block of its own.
-    monkeypatch.setattr(algorithms, "_BATCH_ENTRIES", 60)
     g = np.random.default_rng(dim)
     coords = g.standard_normal((41, dim)) + 2.0 * (np.arange(41) % 2 == 0)[:, None]
     _assert_matches(coords, np.arange(41), seed=dim)
     _assert_matches(np.round(coords), np.arange(41), seed=dim)
+    assert max(small_blocks) > 1
 
 
 def test_split_nodes_matches_each_node_alone():
@@ -458,11 +474,11 @@ def test_bisecting_matches_depth_first_build_on_mixture():
 
 
 @pytest.mark.parametrize("dim", [1, 2, 8, 32])
-def test_bisecting_matches_depth_first_build_in_small_blocks(monkeypatch, dim):
+def test_bisecting_matches_depth_first_build_in_small_blocks(small_blocks, dim):
     # Blocks of one run each in every batch of the tree.
-    monkeypatch.setattr(algorithms, "_BATCH_ENTRIES", 60)
     _assert_same_tree(_random_points(64, dim), seed=dim)
     _assert_same_tree(np.round(_random_points(40, dim)), seed=dim, settings=SETTINGS[:2])
+    assert max(small_blocks) > 1
 
 
 def test_bisecting_exhaustive_matches_depth_first_build():
@@ -503,11 +519,11 @@ def test_bisecting_matches_depth_first_build_on_drawn_points():
 # ----------------------------------------------------------------------
 # restart seeds without a generator per restart
 
-# Seeds of one and of two 32-bit words, and paths of length 0 to 3 with
-# keys of one and of two words.
+# Seeds of one, two and five 32-bit words, and paths of length 0 to 3 with
+# keys of one and of two words. A five-word seed fills more than the pool.
 SEED_STREAMS = [
     RngStream(seed, path)
-    for seed in (0, 11, 2**32 + 5, 2**63 - 1)
+    for seed in (0, 11, 2**32 + 5, 2**63 - 1, 2**130 + 3)
     for path in ((), (7,), (2**33, 1), (3, 0, 2**32 - 1))
 ]
 
@@ -522,7 +538,7 @@ def test_bulk_seeding_matches_numpy(stream):
         for row, (state, inc) in zip(keys.tolist(), got):
             want = stream.substream(*row).generator().bit_generator.state
             assert want["state"] == {"state": state, "inc": inc}, row
-    # 16 streams x 320 keys: 5120 keys in all.
+    # 20 streams x 320 keys: 6400 keys in all.
 
 
 def test_bulk_seeding_refuses_keys_past_one_word():

@@ -186,7 +186,7 @@ def test_row_blocks_tile_the_rows_within_the_entry_cap(na, nb, dim):
     # Equal blocks of as many rows as fit `_BLOCK_ENTRIES` (at least one),
     # the last one shorter; `_distance_blocks` yields exactly these blocks.
     a, b = np.broadcast_to(0.0, (na, dim)), np.broadcast_to(0.0, (nb, dim))
-    blocks = list(_row_blocks(a, b))
+    blocks = list(_row_blocks(na, nb * dim))
     step = max(1, _BLOCK_ENTRIES // (nb * dim))
     assert [r.start for r in blocks] == list(range(0, na, step))
     assert [len(a[r]) for r in blocks][:-1] == [step] * (len(blocks) - 1)

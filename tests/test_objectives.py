@@ -27,6 +27,7 @@ from hierclust import objectives
 from hierclust.metricspace import _distance_blocks, close
 from hierclust.objectives import (
     _lca_weighted_values,
+    _radii,
     _revenue_values,
     _subset_radii,
     _unit_scaled,
@@ -174,6 +175,72 @@ def test_pair_sum_splits_equal_pair_revenue_calls():
         got = [v for _, v in tree_revenue(ps, tree, "pair_sum").per_split]
         want = _pair_revenue_calls(ps, tree)
         assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
+
+
+def _centroid(pts):
+    return pts[0] if (pts == pts[0]).all() else pts.mean(axis=0)
+
+
+def _loop_pair_revenue_values(coords: np.ndarray, tree: HierTree):
+    """`pair_sum` before its array pass: a Python loop over the n(n-1)/2 pairs, in (i, j) order."""
+    arrays = tree.split_arrays()
+    n = len(coords)
+    radius = np.zeros((len(arrays), n))
+    for s, (_, l, r) in enumerate(arrays):
+        for side in (np.sort(l), np.sort(r)):
+            q = coords[side] - _centroid(coords[side])
+            radius[s, side] = np.sqrt((q * q).sum(axis=1))
+    radii = radius.tolist()
+    values = [0.0] * len(arrays)
+    for i, row in enumerate(tree._split_index().tolist()):
+        diff = coords[i] - coords[i + 1 :]
+        dist = np.sqrt((diff * diff).sum(axis=1)).tolist()
+        for j in range(i + 1, n):
+            s = row[j]
+            delta = max(radii[s][i], radii[s][j])
+            values[s] += 1.0 if delta == 0.0 else min(dist[j - i - 1] / delta, 1.0)
+    return values
+
+
+def _caterpillar(n):
+    nested = 0
+    for i in range(1, n):
+        nested = (nested, i)
+    return HierTree.from_nested(nested)
+
+
+def _assert_pair_sum_matches_loop(points, tree):
+    got = tree_revenue(points, tree, "pair_sum").values
+    want = _loop_pair_revenue_values(_unit_scaled(points.coords), tree)
+    assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 9, 33])
+def test_pair_sum_matches_the_pair_loop(dim):
+    g = np.random.Generator(np.random.PCG64(300 + dim))
+    cases = [
+        (PointSet(g.standard_normal((300, dim))), "random"),
+        (PointSet(np.round(3.0 * g.standard_normal((120, dim)))), "caterpillar"),
+        (PointSet(g.standard_normal((3, dim))[g.integers(0, 3, size=200)]), "random"),
+        (PointSet(g.standard_normal((3, dim))[g.integers(0, 3, size=90)]), "caterpillar"),
+        (PointSet(np.full((150, dim), 0.1)), "random"),
+        (PointSet(np.full((40, dim), 0.1)), "caterpillar"),
+    ]
+    for k, (points, shape) in enumerate(cases):
+        n = points.n
+        tree = random_tree(n, RngStream(k, (dim,))) if shape == "random" else _caterpillar(n)
+        _assert_pair_sum_matches_loop(points, tree)
+
+
+def test_pair_sum_matches_the_pair_loop_on_random_bad_instances():
+    from hierclust import RandomBadInstanceSpec, build_random_bad_instance, clean_reference_tree
+
+    for k in (2, 8, 16):
+        spec = RandomBadInstanceSpec(k)
+        points = build_random_bad_instance(spec)
+        _assert_pair_sum_matches_loop(points, clean_reference_tree(spec))
+        for t in range(3):
+            _assert_pair_sum_matches_loop(points, random_tree(points.n, RngStream(k, (t,))))
 
 
 def _reference_revenue_values(coords, tree):
@@ -518,6 +585,26 @@ def test_brute_force_guards():
         brute_force_opt(line_points(), "ckmm")
     with pytest.raises(ValueError):
         brute_force_opt(line_points(), "bogus")
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 12])
+def test_subset_radii_are_the_radii_of_each_subset(n, dim):
+    # Every row, over its members, is `_radii` of that subset in index
+    # order: at one coordinate a subset of eight or more points takes
+    # numpy's pairwise mean, as the row blocks do.
+    g = np.random.default_rng(10 * n + dim)
+    for coords in (
+        g.standard_normal((n, dim)),
+        g.standard_normal((3, dim))[np.arange(n) % 3],
+        np.full((n, dim), 0.1),
+    ):
+        coords = _unit_scaled(PointSet(coords).coords)
+        radii = _subset_radii(coords)
+        for mask in range(1, 1 << n):
+            ids = [i for i in range(n) if mask >> i & 1]
+            got = [float.hex(v) for v in radii[mask, ids]]
+            assert got == [float.hex(v) for v in _radii(coords[ids])], (mask, ids)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,29 @@ def test_generate_with_ties_produces_duplicate_distances():
             found = True
             break
     assert found
+
+
+def test_induced_matrix_keeps_one_n_by_n_array():
+    # The filled array becomes the matrix itself, not a copy beside it: the
+    # peak stays near the 8 MiB result at n = 1024, where a copy would add
+    # a second 8 MiB.
+    spec = generate_random(1024, RngStream(7, (0,)), "strict")
+    tracemalloc.start()
+    try:
+        dist = spec.induced_matrix()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * dist.values.nbytes
+    # The same matrix as a fill of a fresh array passed to the constructor.
+    want = np.zeros((spec.n, spec.n))
+    for nid, l, r in spec.topology.split_arrays():
+        want[np.ix_(l, r)] = spec.node_weights[nid]
+        want[np.ix_(r, l)] = spec.node_weights[nid]
+    assert np.array_equal(dist.values, DistanceMatrix(want).values)
+    assert not dist.values.flags.writeable
+    with pytest.raises(ValueError):
+        dist.values[0, 1] = 0.0
 
 
 def test_generate_mode_guard():
