@@ -17,12 +17,17 @@ Four builders, all emitting the same dendrogram type:
   point against the rest.
   The batch sums as a lone restart would, through `metricspace`'s
   `_segment_sums` and `_group_sums`, so its splits and costs are bit for
-  bit those of one restart at a time.
+  bit those of one restart at a time. Each assignment step settles most
+  points by which side of the two centers' bisector they lie on, with a
+  certified margin for rounding (`_nearer_second`), and computes the two
+  squared distances only for the rest.
 * average_linkage / single_linkage -- agglomerative over a distance matrix,
   merging the pair of clusters with minimum mean / minimum single
   inter-cluster distance. Each row caches its nearest live partner and a
   merge rescans only the rows it touches (Muellner's "generic" algorithm),
   so typical cost is O(n^2) time and one n x n working copy of the matrix.
+  A rescan reads the row's contiguous slice, with +inf added at the
+  columns of merged-away clusters.
 * random_tree -- divisive baseline assigning each point to a side by an
   independent fair coin at every node.
 
@@ -30,7 +35,8 @@ Every algorithm is deterministic given its seed; randomness flows through
 `RngStream`, which keys a PCG64 generator by (seed, substream path) so that
 independent uses never share draws. Lloyd restarts take their starting
 PCG64 states from `RngStream._pcg64_states` in bulk rather than building a
-generator each.
+generator each, and compute their two draws from those states with Python
+integers as numpy's Generator would (`_restart_draws`).
 """
 
 from __future__ import annotations
@@ -63,7 +69,15 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
+
+
+def _xsl_rr(state: int) -> int:
+    """PCG64's 64-bit output of a 128-bit state: xor of its halves, rotated right by its top 6 bits."""
+    word = ((state >> 64) ^ state) & _MASK64
+    rot = state >> 122
+    return ((word >> rot) | (word << (64 - rot))) & _MASK64
 
 
 def _hash_chain(init: int, mult: int, steps: int) -> List[int]:
@@ -76,6 +90,12 @@ def _hash_chain(init: int, mult: int, steps: int) -> List[int]:
 
 # The hash constants of SeedSequence.generate_state's eight 32-bit words.
 _HASH_B = np.array(_hash_chain(_INIT_B, _MULT_B, 8), dtype=np.uint64)[:, None]
+
+
+def _check_seed(name: str, value) -> None:
+    """Refuse a seed that is not a non-negative integer, naming its field."""
+    if not (isinstance(value, (int, np.integer)) and value >= 0):
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -185,6 +205,7 @@ class TwoMeansSolverConfig:
             raise ValueError(f"lloyd_max_iters must be at least 1, got {self.lloyd_max_iters}")
         if not (self.lloyd_tol >= 0.0 and np.isfinite(self.lloyd_tol)):
             raise ValueError(f"lloyd_tol must be finite and nonnegative, got {self.lloyd_tol}")
+        _check_seed("seed", self.seed)
 
 
 # ----------------------------------------------------------------------
@@ -265,6 +286,72 @@ def _squared_distances(pts: np.ndarray, owner: np.ndarray, centers: np.ndarray) 
     for rs in _row_blocks(runs, pts.shape[1] * k * dim):
         own = pts if len(pts) == 1 else pts[owner[rs]]
         out[rs] = ((own[:, :, None, :] - centers[rs, None, :, :]) ** 2).sum(axis=3)
+    return out
+
+
+def _nearer_second(
+    pts: np.ndarray, owner: np.ndarray, centers: np.ndarray, sq: np.ndarray
+) -> np.ndarray:
+    """out[r, i]: d1 < d0 of `_squared_distances(pts, owner, centers)[r, i]`, bit for bit.
+
+    `centers` is (runs, 2, dim) and sq[k, i] the squared norm of pts[k, i].
+    The test needs no squared distance when a certified screen settles it.
+    With w = c1 - c0 and off = |c0|^2 - |c1|^2, the exact h = 2<x, w> + off
+    is d0 - d1. h as computed, h', sends a point to side 1 when h' > T and
+    to side 0 when h' < -T, for T = slack * S + 2^-1000 with
+    S = |x|^2 + |c0|^2 + |c1|^2. Every other point takes d0 and d1 as
+    `_squared_distances` sums them, each over the last axis of its own
+    difference, and compares them.
+
+    Why the screen agrees with d1 < d0 as computed. Let n = dim, u = 2^-53
+    and g(k) = k u / (1 - k u). Every entry of x, c0 and c1 is at most 1
+    (the coordinates are unit-scaled and the centers are points or side
+    means), so nothing overflows. A rounded product or square may also
+    underflow, by at most 2^-1075; sums and differences never do.
+    * Each computed d_k has d'_k = d_k (1 + e) with |e| <= g(n + 2) (a
+      rounded difference, its square, then n - 1 additions in any order),
+      plus at most n 2^-1074 from underflow; and d_k <= 2 (|x|^2 + |c_k|^2).
+      So |d'_0 - d_0| + |d'_1 - d_1| <= 4 g(n + 2) S + 2n 2^-1074.
+    * For h: the rounded w_j is w_j (1 + e_j), |e_j| <= u, and
+      sum_j |x_j| |w_j| <= |x|^2 + (|c0|^2 + |c1|^2) / 2 <= S, so the dot
+      product is off by at most g(n + 1) S; doubling is exact. The two
+      squared norms and their difference are off by at most
+      g(n + 1) (|c0|^2 + |c1|^2) <= g(n + 1) S, and the final addition by
+      u (3 + 3 g(n + 1)) S. Altogether |h' - h| <= 3 g(n + 2) S, plus at
+      most 5n 2^-1075 from underflow.
+    * So |h' - h| + |d'_0 - d_0| + |d'_1 - d_1| <= 7 g(n + 2) S + 8n 2^-1074.
+      If h' > T exceeds that, h > |d'_0 - d_0| + |d'_1 - d_1| and d'_1 < d'_0
+      strictly; if h' < -T, d'_1 > d'_0.
+    slack = 16 (n + 2) u is more than twice 7 g(n + 2) for n < 2^40, where
+    (n + 2) u < 2^-12; that leaves room for the rounding of S and T
+    themselves (a factor 1 - O(n u)). 2^-1000 covers the underflow terms
+    for n < 2^70. Entries at most 1 serve only to keep 4 S finite, so the
+    screen is exact for any coordinates whose 4 S does not overflow.
+    """
+    runs, _, dim = centers.shape
+    width = pts.shape[1]
+    slack = 16 * (dim + 2) * 2.0**-53
+    w = centers[:, 1] - centers[:, 0]
+    norms = np.einsum("rkj,rkj->rk", centers, centers)
+    off = norms[:, 0] - norms[:, 1]
+    out = np.empty((runs, width), dtype=bool)
+    for rs in _row_blocks(runs, width * dim):
+        own = owner[rs]
+        if len(pts) == 1:
+            h = np.einsum("ij,rj->ri", pts[0], w[rs])
+        else:
+            h = np.einsum("rij,rj->ri", pts[own], w[rs])
+        h *= 2.0
+        h += off[rs, None]
+        bound = sq[own] + (norms[rs, 0] + norms[rs, 1])[:, None]
+        bound *= slack
+        bound += 2.0**-1000
+        out[rs] = h > bound
+        run, row = np.nonzero(np.abs(h) <= bound)
+        if run.size:
+            run += rs.start
+            d2 = ((pts[owner[run], row][:, None, :] - centers[run]) ** 2).sum(axis=2)
+            out[run, row] = d2[:, 1] < d2[:, 0]
     return out
 
 
@@ -350,27 +437,47 @@ def _restart_draws(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The first two draws of each restart of each node.
 
-    Run k * restarts + r draws from `rng.substream(*keys[k], r).generator()`:
-    `integers(sizes[k])` and then `random()`. numpy's own Generator makes
-    them, on one reused PCG64 whose state is set to each run's starting
-    state in turn, computed in bulk; has_uint32 = 0 drops the 32-bit half
-    that an `integers` draw may leave buffered.
+    Run k * restarts + r draws what `rng.substream(*keys[k], r).generator()`
+    would: `integers(sizes[k])` and then `random()`. They are computed from
+    each run's starting PCG64 state (`RngStream._pcg64_states`) with Python
+    integers, as numpy's C code computes them:
+
+    * a step is state = state * mult + inc mod 2^128, and its 64-bit output
+      is XSL-RR: the two halves of the state xor-ed, rotated right by the
+      state's top 6 bits;
+    * `integers(m)` with m - 1 < 2^32 is Lemire's draw on 32-bit words: the
+      low half of an output first, and after a rejection the high half of
+      the same output. m = 2^32 takes the low half as it is, which is
+      Lemire's draw at that bound too (its threshold is 0). A larger m is
+      the same draw on whole 64-bit outputs, and m = 1 draws nothing;
+    * `random()` is (next output >> 11) * 2^-53; it takes a fresh output
+      even when `integers` left a half unused.
     """
     tails = np.column_stack(
         (np.repeat(keys, restarts, axis=0), np.tile(np.arange(restarts), len(keys)))
     )
-    bits = np.random.PCG64(0)
-    gen = np.random.Generator(bits)
-    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    first = np.empty(len(tails), dtype=np.intp)
-    draws = np.empty(len(tails))
+    first, draws = [], []
     bounds = np.repeat(sizes, restarts).tolist()
-    for j, (bound, (start, inc)) in enumerate(zip(bounds, rng._pcg64_states(tails))):
-        state["state"] = {"state": start, "inc": inc}
-        bits.state = state
-        first[j] = gen.integers(bound)
-        draws[j] = gen.random()
-    return first, draws
+    for bound, (state, inc) in zip(bounds, rng._pcg64_states(tails)):
+        bits = 32 if bound <= 1 << 32 else 64
+        # Lemire rejects a product whose low `bits` bits fall below this.
+        threshold = ((1 << bits) - bound) % bound
+        low = (1 << bits) - 1
+        value, spare = 0, None
+        while bound > 1:
+            if spare is None:
+                state = (state * _PCG_MULT + inc) & _MASK128
+                word = _xsl_rr(state)
+                value, spare = (word & _MASK32, word >> 32) if bits == 32 else (word, None)
+            else:
+                value, spare = spare, None
+            value *= bound
+            if value & low >= threshold:
+                break
+        first.append(value >> bits)
+        state = (state * _PCG_MULT + inc) & _MASK128
+        draws.append((_xsl_rr(state) >> 11) * 2.0**-53)
+    return np.array(first, dtype=np.intp), np.array(draws)
 
 
 def _lloyd_batch(
@@ -421,17 +528,18 @@ def _lloyd_batch(
     centers = np.stack([starts, pts[owner, second]], axis=1)
     assign = np.zeros((len(owner), width), dtype=np.intp)
     converged = _move_test(pts, sizes, config.lloyd_tol)
+    sq = np.einsum("kij,kij->ki", pts, pts)
     live = np.arange(len(owner))
     for _ in range(config.lloyd_max_iters):
         node = owner[live]
         old = centers[live]
-        dist2 = _squared_distances(pts, node, old)
         # argmin over the two centers: side 1 only when strictly nearer.
-        side = (dist2[:, :, 1] < dist2[:, :, 0]).astype(np.intp)
+        side = _nearer_second(pts, node, old, sq).astype(np.intp)
         side[pad[node]] = 0
         ones = side.sum(axis=1)
         for k in np.flatnonzero((ones == 0) | (ones == sizes[node])).tolist():
-            own = np.where(pad[node[k]], -np.inf, dist2[k, rows, side[k]])
+            dist2 = _squared_distances(pts, node[k : k + 1], old[k : k + 1])[0]
+            own = np.where(pad[node[k]], -np.inf, dist2[rows, side[k]])
             side[k, int(own.argmax())] = 1 if ones[k] == 0 else 0
             ones[k] += 1 if ones[k] == 0 else -1
         counts = np.stack([sizes[node] - ones, ones], axis=1)
@@ -643,6 +751,8 @@ def _agglomerate(dist: DistanceMatrix, mode: str) -> HierTree:
     state = dist.values.copy()
     size = np.ones(n, dtype=np.float64)
     alive = np.ones(n, dtype=bool)
+    # dead[c]: 0.0 while slot c is live, +inf once it has merged away.
+    dead = np.zeros(n)
     # best[r]: the minimum score over live slots c > r; arg[r]: the first
     # such c, or -1 when there is none. Row-major order over a < b is then
     # the tie order, so the pick is the first row holding the minimum.
@@ -651,12 +761,21 @@ def _agglomerate(dist: DistanceMatrix, mode: str) -> HierTree:
     node_of = list(range(n))
     nodes: List[Union[int, Tuple[int, int]]] = list(range(n))
 
-    def scores(r: int, cols: np.ndarray) -> np.ndarray:
+    def scores(r: int, cols: Union[np.ndarray, slice]) -> np.ndarray:
         if mode == "average":
             return state[r, cols] / (size[r] * size[cols])
         return state[r, cols]
 
     def refresh(r: int) -> None:
+        # Every score is >= 0.0 and x + 0.0 == x, so the whole slice past r,
+        # plus `dead`, holds each live score as it is and +inf for dead
+        # columns: a finite minimum's first column is the first live one.
+        row = scores(r, slice(r + 1, None)) + dead[r + 1 :]
+        k = int(row.argmin())
+        if row[k] < np.inf:
+            best[r], arg[r] = row[k], r + 1 + k
+            return
+        # Every live score overflowed, or no column is live: scan live ones.
         cols = np.flatnonzero(alive[r + 1 :]) + (r + 1)
         if cols.size == 0:
             best[r], arg[r] = np.inf, -1
@@ -681,6 +800,7 @@ def _agglomerate(dist: DistanceMatrix, mode: str) -> HierTree:
         state[:, a] = state[a, :]
         size[a] += size[b]
         alive[b] = False
+        dead[b] = np.inf
         best[b], arg[b] = np.inf, -1
         # Rows whose cached partner was a or b rescan; the other live rows
         # above a only need to compare their cached minimum with (c, a).

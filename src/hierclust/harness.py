@@ -28,6 +28,7 @@ import numpy as np
 
 from .algorithms import (
     RngStream,
+    _check_seed,
     TwoMeansSolverConfig,
     average_linkage,
     bisecting_kmeans,
@@ -270,6 +271,9 @@ class GaussianMixtureSpec:
     separation: float
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        _check_seed("seed", self.seed)
+
     def build(self) -> PointSet:
         return synth_gaussian_mixture(self.k, self.n, self.dim, self.separation, RngStream(self.seed))
 
@@ -304,6 +308,7 @@ class ExperimentConfig:
         for o in self.objectives:
             if o not in OBJECTIVES:
                 raise ValueError(f"unknown objective {o!r}")
+        _check_seed("base_seed", self.base_seed)
         self._solver_config(seed=0)  # validates the solver fields
 
     def _solver_config(self, seed: int) -> TwoMeansSolverConfig:
@@ -589,7 +594,7 @@ def _build_cli() -> _Parser:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    points = synth_gaussian_mixture(args.k, args.n, args.dim, args.separation, RngStream(args.seed))
+    points = GaussianMixtureSpec(args.k, args.n, args.dim, args.separation, args.seed).build()
     _write_or_print(_points_csv_text(points), args.out)
     return 0
 

@@ -117,11 +117,17 @@ def test_two_means_guards():
         {"lloyd_tol": float("nan")},
         {"max_exhaustive_n": 0},
         {"max_exhaustive_n": 65},
+        {"seed": -1},
+        {"seed": 1.5},
     ]
     for fields in bad_fields:
         with pytest.raises(ValueError, match=next(iter(fields))):
             TwoMeansSolverConfig(kind="lloyd", **fields)
     TwoMeansSolverConfig(kind="exhaustive", max_exhaustive_n=64, lloyd_tol=0.0)
+    # Exhaustive bisecting never draws, but a negative seed is refused all the same.
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        TwoMeansSolverConfig(kind="exhaustive", seed=-1)
+    TwoMeansSolverConfig(kind="lloyd", seed=np.int64(2**40))
 
 
 def test_subset_diameter_bounds_its_row_block():

@@ -12,7 +12,9 @@ one depth at a time: it builds depth first, one node at a time, through
 `_reference_lloyd_two_means`. The library must build the same tree.
 
 The bulk seeding of restarts must reproduce numpy's own SeedSequence and
-PCG64 state, and the draws made from it, key for key.
+PCG64 state, and the draws made from it, key for key. The assignment
+screen must return `d1 < d0` of `_squared_distances`, run by run, on
+points on and beside the centers' bisector.
 """
 
 import itertools
@@ -34,9 +36,11 @@ from hierclust import (
 from hierclust import algorithms, metricspace
 from hierclust.algorithms import (
     _exhaustive_two_means,
+    _nearer_second,
     _ordered_split,
     _restart_draws,
     _split_nodes,
+    _squared_distances,
 )
 from hierclust.hiertree import _divide
 from hierclust.metricspace import _distance_blocks, _one_means_cost, _unit_scaled
@@ -163,6 +167,9 @@ TIE_INPUTS = {
     "tiny_scale": 1e-170 * np.random.default_rng(7).standard_normal((40, 3)),
     "large_scale": 1e150 * np.random.default_rng(8).standard_normal((40, 3)),
     "far_from_origin": 1e8 + np.random.default_rng(9).standard_normal((50, 4)),
+    # A square lattice: the bisector of two lattice points often runs
+    # through others, so the assignment screen leaves them to d1 < d0.
+    "lattice_7x7_2d": np.array(list(itertools.product(range(-3, 4), repeat=2)), dtype=np.float64),
 }
 
 
@@ -312,6 +319,98 @@ def test_two_means_cost_in_original_units():
     assert cost == np.inf  # about 3e400, past the float range
     small = PointSet(np.ldexp(HUGE, -700))
     assert two_means(small, range(4), config)[0] == split
+
+
+# ----------------------------------------------------------------------
+# the assignment screen
+
+# Center entries at most 0.5 and bisector offsets at most 0.25, so that a
+# mirrored center 2m - c stays within [-1, 1], as unit-scaled data does.
+# All are dyadic, so 2m - c is exact and points on the bisector are exactly
+# equidistant.
+CENTER_ENTRIES = (0.0, -0.0, 0.5, -0.5, 0.25, -0.375, 2.0**-600, -(2.0**-600), 2.0**-300)
+MIRRORS = (0.0, 0.125, -0.25, 0.25, 2.0**-601, 0.1875)
+POINT_ENTRIES = CENTER_ENTRIES + (1.0, -1.0, 0.1, 1 / 3, 2.0**-1074)
+
+
+def _screen_case(g, dim, nodes, width, runs, modes):
+    """(pts, owner, centers): runs whose centers are equal, mirrored or free.
+
+    A mirrored run's c1 is c0 reflected through m on a set J of coordinates,
+    so a point with x[J] = m[J] lies exactly on its bisector. Each node's
+    rows mix such points, points 1 ulp off the bisector, copies of earlier
+    rows and of centers, and rows drawn from entries down to 2^-600 beside
+    entries of 0.5 or 1.
+    """
+    owner = g.integers(0, nodes, size=runs)
+    c0 = g.choice(CENTER_ENTRIES, size=(runs, dim))
+    c1 = g.choice(CENTER_ENTRIES, size=(runs, dim))
+    planes = []
+    for r, mode in enumerate(modes):
+        if mode == "equal":
+            c1[r] = c0[r]
+        elif mode == "mirror":
+            c1[r] = c0[r]
+            cut = g.random(dim) < 0.5
+            cut[g.integers(dim)] = True
+            m = g.choice(MIRRORS, size=dim)
+            c1[r, cut] = 2 * m[cut] - c0[r, cut]
+            planes.append((owner[r], cut, m))
+    pts = g.choice(POINT_ENTRIES, size=(nodes, width, dim))
+    for k in range(nodes):
+        own = [(cut, m) for node, cut, m in planes if node == k]
+        for i in range(width):
+            kind = g.integers(5)
+            if kind == 0 and i > 0:
+                pts[k, i] = pts[k, g.integers(i)]
+            elif kind == 1:
+                pts[k, i] = (c0 if g.random() < 0.5 else c1)[g.integers(runs)]
+            elif kind >= 2 and own:
+                cut, m = own[g.integers(len(own))]
+                row = np.where(cut, m, pts[k, i])
+                if kind == 3:  # 1 ulp either side of the bisector
+                    j = np.flatnonzero(cut)[0]
+                    row[j] = np.nextafter(row[j], np.inf if g.random() < 0.5 else -np.inf)
+                pts[k, i] = row
+    return pts, owner, np.stack([c0, c1], axis=1)
+
+
+def _assert_screen_matches(pts, owner, centers):
+    sq = np.einsum("kij,kij->ki", pts, pts)
+    d2 = _squared_distances(pts, owner, centers)
+    got = _nearer_second(pts, owner, centers, sq)
+    assert got.tolist() == (d2[:, :, 1] < d2[:, :, 0]).tolist()
+
+
+def test_screened_assignment_matches_squared_distances():
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    @st.composite
+    def cases(draw):
+        dim = draw(st.sampled_from([1, 2, 8, 32, 200]))
+        runs = draw(st.integers(1, 4))
+        modes = draw(st.lists(st.sampled_from(["equal", "mirror", "free"]), min_size=runs, max_size=runs))
+        shape = (dim, draw(st.integers(1, 3)), draw(st.integers(1, 12)), runs, modes)
+        return shape, draw(st.integers(0, 2**32 - 1))
+
+    # Besides the drawn cases, at every dim: one node broadcast to three
+    # mirrored runs, and three nodes under mirrored, equal and free centers.
+    examples = [
+        ((dim, nodes, 40, len(modes), modes), dim)
+        for dim in (1, 2, 8, 32, 200)
+        for nodes, modes in ((1, ["mirror"] * 3), (3, ["mirror", "equal", "mirror", "free"]))
+    ]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(cases())
+    def check(case):
+        shape, seed = case
+        _assert_screen_matches(*_screen_case(np.random.default_rng(seed), *shape))
+
+    for case in examples:
+        check = example(case)(check)
+    check()
 
 
 # ----------------------------------------------------------------------

@@ -244,6 +244,29 @@ def test_invalid_restarts_is_data_error(capsys, line_csv, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["cluster", "--algo", "bkm", "--seed", "-1"], "seed"),
+        (["cluster", "--algo", "bkm", "--solver", "exhaustive", "--seed", "-1"], "seed"),
+        (["synth", "--k", "2", "--n", "10", "--dim", "2", "--seed", "-1"], "seed"),
+        (["experiment", "table1", "--synth-k", "2", "--synth-n", "20", "--synth-dim", "2",
+          "--subsample", "10", "--seed", "-5"], "base_seed"),
+        (["experiment", "table1", "--synth-k", "2", "--synth-n", "20", "--synth-dim", "2",
+          "--subsample", "10", "--synth-seed", "-3"], "seed"),
+    ],
+)
+def test_negative_seed_is_data_error_naming_the_seed(capsys, line_csv, argv, field):
+    # Refused when the config is built, not by numpy deep inside the build.
+    if argv[0] == "cluster":
+        argv = argv + ["--points", line_csv]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {field} must be a non-negative integer, got -")
+    assert err.count("\n") == 1
+
+
 def test_distance_matrix_guard_names_bytes_and_limit(monkeypatch):
     monkeypatch.setattr(harness, "_MAX_DISTANCE_BYTES", 71)
     assert harness._distances(hierclust.PointSet(np.zeros((2, 1)))).n == 2  # 32 bytes

@@ -358,6 +358,10 @@ def test_experiment_config_validation():
         mixture_config(lloyd_restarts=0)
     with pytest.raises(ValueError, match="max_exhaustive_n"):
         mixture_config(max_exhaustive_n=65)
+    with pytest.raises(ValueError, match="base_seed must be a non-negative integer"):
+        mixture_config(base_seed=-1)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        GaussianMixtureSpec(k=2, n=10, dim=2, separation=1.0, seed=-1)
     with pytest.raises(ValueError):
         StatsRow("a", "revenue", 1.0, -0.5)
 

@@ -45,7 +45,9 @@ def _reference_agglomerate(dist: DistanceMatrix, mode: str) -> HierTree:
         else:
             score = np.where(valid, state, np.inf)
         best = float(score.min())
-        ii, jj = np.nonzero(score == best)
+        # Only live pairs: when every live score has overflowed to inf, the
+        # dead ones tie with them.
+        ii, jj = np.nonzero(valid & (score == best))
         pick = None
         for a, b in zip(ii.tolist(), jj.tolist()):
             if a >= b:
@@ -149,6 +151,53 @@ def test_linkage_matches_full_rescan_on_drawn_tie_heavy_matrices():
             assert (got.root, got.nodes) == (want.root, want.nodes), mode
 
     check()
+
+
+def _paired(n: int, far: float) -> np.ndarray:
+    """Slots (0, 1), (2, 3), ... 1.0 apart, every other pair `far` apart."""
+    values = np.full((n, n), far)
+    for i in range(0, n - 1, 2):
+        values[i, i + 1] = values[i + 1, i] = 1.0
+    np.fill_diagonal(values, 0.0)
+    return values
+
+
+def _dead_then_minimum() -> np.ndarray:
+    """After (1, 2) merge, row 0's minimum is column 3, just after dead column 2.
+
+    Row 0 first points at 2. Dead column 2 still holds its old score 2.0,
+    below the live minimum 3.0 at column 3; live column 1 now scores 3.5.
+    """
+    values = np.full((6, 6), 9.0)
+    for (i, j), d in {(1, 2): 1.0, (0, 2): 2.0, (0, 3): 3.0, (0, 1): 5.0, (3, 4): 4.0}.items():
+        values[i, j] = values[j, i] = d
+    np.fill_diagonal(values, 0.0)
+    return values
+
+
+# Matrices whose average-linkage sums overflow, so that rows hold only
+# inf live scores beside dead columns, and matrices with a row minimum
+# just after a dead column.
+SLICE_INPUTS = {
+    "overflow_pairs_8": _paired(8, 1e308),
+    "overflow_pairs_9": _paired(9, 1e308),
+    "overflow_half": np.where(np.arange(10)[:, None] < 5, _paired(10, 1e308), _paired(10, 7.0)),
+    "dead_then_minimum": _dead_then_minimum(),
+    "dead_then_minimum_tiled": np.kron(np.ones((3, 3)), _dead_then_minimum()) + 10.0 * (
+        np.arange(18)[:, None] // 6 != np.arange(18) // 6
+    ),
+}
+
+
+@pytest.mark.parametrize("mode,build", BUILDERS, ids=[m for m, _ in BUILDERS])
+@pytest.mark.parametrize("name", sorted(SLICE_INPUTS))
+def test_linkage_matches_full_rescan_past_dead_columns(name, mode, build):
+    values = np.triu(SLICE_INPUTS[name], 1)
+    dist = DistanceMatrix(values + values.T)
+    with np.errstate(over="ignore"):
+        got = build(dist)
+        want = _reference_agglomerate(dist, mode)
+    assert (got.root, got.nodes) == (want.root, want.nodes)
 
 
 def test_average_linkage_survives_overflowing_cluster_sums():
