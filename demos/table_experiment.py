@@ -3,21 +3,23 @@
 run_table1 subsamples the dataset once per run, builds each requested
 algorithm's tree, evaluates each objective, and reports raw per-run values
 plus mean / std summaries with upper-bound rows. Everything is a pure
-function of the config, so the emitted CSV is byte-stable across repeats.
+function of the data and the config, so the emitted CSV is byte-stable
+across repeats. The experiment reads and writes no files; the CLI's
+`experiment table1` loads --points or draws --synth-* and writes --out.
 """
 
 from hierclust import ExperimentConfig, GaussianMixtureSpec, run_table1
 
+data = GaussianMixtureSpec(k=8, n=400, dim=8, separation=20.0, seed=11).build()
 config = ExperimentConfig(
     subsample_size=150,
-    synthetic=GaussianMixtureSpec(k=8, n=400, dim=8, separation=20.0, seed=11),
     num_runs=5,
     algorithms=("bkm", "avg", "single", "random"),
     objectives=("revenue", "ckmm"),
     base_seed=100,
 )
 
-stats, csv_text = run_table1(config)
+stats, csv_text = run_table1(data, config)
 
 print("summary (mean, std over 5 runs):")
 width = max(len(r.algorithm) for r in stats)
@@ -28,6 +30,6 @@ print("\nraw report head:")
 for line in csv_text.splitlines()[:8]:
     print(" ", line)
 
-again, _ = run_table1(config)
+again, _ = run_table1(data, config)
 print("\nre-running the same config reproduces every cell:",
       all(a == b for a, b in zip(stats, again)))

@@ -108,11 +108,16 @@ class RngStream:
     so each stream should feed one consumer. `_pcg64_states` gives the
     starting PCG64 state of many substreams at once, without building a
     generator for each: it starts from the `pool` of the stream's own
-    SeedSequence and mixes in only the substream keys.
+    SeedSequence and mixes in only the substream keys. The seed must be a
+    non-negative integer; any other value is refused when the stream is
+    built.
     """
 
     seed: int
     path: Tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        _check_seed("seed", self.seed)
 
     def _sequence(self) -> np.random.SeedSequence:
         return np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)

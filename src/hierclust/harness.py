@@ -12,8 +12,9 @@ reproduce at desk scale:
   the achievable revenue, and measures the revenue ratio of random trees
   against the exact optimum.
 
-All CSV output is byte-stable for a fixed config: floats are written with
-repr and rows are emitted in sorted order.
+Experiments take their data and return their report text; only the CLI
+reads and writes files. All CSV output is byte-stable for fixed inputs:
+floats are written with repr and rows are emitted in sorted order.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -213,31 +214,30 @@ def synth_gaussian_mixture(
 
 @dataclass(frozen=True)
 class RandomBadInstanceSpec:
-    """The unbalanced two-location instance: n^2 points at A, n points at B."""
+    """The unbalanced two-location instance: n^2 points at A, n points at B.
+
+    B sits at distance 1 from A; revenue is scale-invariant, so the
+    distance changes no ratio.
+    """
 
     n: int
-    inter_cluster_distance: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("n must be at least 2")
-        if not (self.inter_cluster_distance > 0.0):
-            raise ValueError("inter-cluster distance must be positive")
 
     @property
     def total_points(self) -> int:
         return self.n * self.n + self.n
 
     def optimal_revenue(self) -> float:
-        m = self.total_points
-        return float(m * (m - 1) // 2)
+        return revenue_upper_bound(self.total_points)
 
 
 def build_random_bad_instance(spec: RandomBadInstanceSpec) -> PointSet:
-    """n^2 coincident points at the origin, n more at distance D on the axis."""
-    m = spec.total_points
-    coords = np.zeros((m, 1))
-    coords[spec.n * spec.n :, 0] = spec.inter_cluster_distance
+    """n^2 coincident points at the origin, n more at 1 on the axis."""
+    coords = np.zeros((spec.total_points, 1))
+    coords[spec.n * spec.n :, 0] = 1.0
     return PointSet(coords)
 
 
@@ -280,24 +280,17 @@ class GaussianMixtureSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One benchmark-table run: dataset, subsample size, runs, algorithms."""
+    """One benchmark-table run: subsample size, runs, algorithms, objectives."""
 
     subsample_size: int
-    input_csv: Optional[str] = None
-    synthetic: Optional[GaussianMixtureSpec] = None
     num_runs: int = 5
     algorithms: Tuple[str, ...] = ALGORITHMS
     objectives: Tuple[str, ...] = ("revenue", "ckmm")
     base_seed: int = 0
-    output: Optional[str] = None
     solver: str = "lloyd"
     lloyd_restarts: int = 10
-    max_exhaustive_n: int = 20
-    ingest: IngestOptions = field(default_factory=IngestOptions)
 
     def __post_init__(self) -> None:
-        if (self.input_csv is None) == (self.synthetic is None):
-            raise ValueError("exactly one of input_csv and synthetic must be set")
         if self.num_runs < 1:
             raise ValueError("num_runs must be at least 1")
         if self.subsample_size < 1:
@@ -312,12 +305,7 @@ class ExperimentConfig:
         self._solver_config(seed=0)  # validates the solver fields
 
     def _solver_config(self, seed: int) -> TwoMeansSolverConfig:
-        return TwoMeansSolverConfig(
-            kind=self.solver,
-            max_exhaustive_n=self.max_exhaustive_n,
-            lloyd_restarts=self.lloyd_restarts,
-            seed=seed,
-        )
+        return TwoMeansSolverConfig(kind=self.solver, lloyd_restarts=self.lloyd_restarts, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -337,13 +325,6 @@ class StatsRow:
 def _mean_std(values: Sequence[float]) -> Tuple[float, float]:
     arr = np.array(values, dtype=np.float64)
     return float(arr.mean()), float(arr.std())
-
-
-def _load_dataset(config: ExperimentConfig) -> PointSet:
-    if config.input_csv is not None:
-        return ingest_csv(config.input_csv, config.ingest)
-    assert config.synthetic is not None
-    return config.synthetic.build()
 
 
 def _build_tree(
@@ -376,8 +357,8 @@ def _objective_report(objective: str, points: PointSet, dist: Optional[DistanceM
     return dasgupta_cost(dist, tree)
 
 
-def run_table1(config: ExperimentConfig) -> Tuple[List[StatsRow], str]:
-    """Run the benchmark-table experiment; returns summary rows and the CSV text.
+def run_table1(data: PointSet, config: ExperimentConfig) -> Tuple[List[StatsRow], str]:
+    """Run the benchmark-table experiment on `data`; returns summary rows and the CSV text.
 
     Each run subsamples `subsample_size` points without replacement (seeded
     with base_seed + run), builds every requested algorithm's tree, and
@@ -385,7 +366,6 @@ def run_table1(config: ExperimentConfig) -> Tuple[List[StatsRow], str]:
     revenue (the pair count, identical each run) and ckmm (m times the sum
     of pairwise distances of the run's subsample).
     """
-    data = _load_dataset(config)
     m = config.subsample_size
     if m > data.n:
         raise DataError(f"subsample size {m} exceeds dataset size {data.n}")
@@ -422,11 +402,7 @@ def run_table1(config: ExperimentConfig) -> Tuple[List[StatsRow], str]:
     lines.append("algorithm,objective,mean,std")
     for row in stats:
         lines.append(f"{row.algorithm},{row.objective},{row.mean!r},{row.std!r}")
-    text = "\n".join(lines) + "\n"
-    if config.output:
-        with open(config.output, "w") as fh:
-            fh.write(text)
-    return stats, text
+    return stats, "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -533,16 +509,19 @@ def _build_cli() -> _Parser:
     p.add_argument("--separation", type=float, default=10.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
+    p.set_defaults(run=_cmd_synth)
 
     p = sub.add_parser("gen-ultrametric", help="generate a random ultrametric spec")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=("strict", "with-ties"), default="strict")
     p.add_argument("--out", default=None)
+    p.set_defaults(run=_cmd_gen_ultrametric)
 
     p = sub.add_parser("embed", help="embed an ultrametric spec as a points CSV")
     p.add_argument("--spec", required=True, help="annotated tree file")
     p.add_argument("--out", default=None)
+    p.set_defaults(run=_cmd_embed)
 
     p = sub.add_parser("cluster", help="build a tree from a points CSV")
     _add_points_arguments(p, required=True)
@@ -551,12 +530,14 @@ def _build_cli() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=10)
     p.add_argument("--out", default=None)
+    p.set_defaults(run=_cmd_cluster)
 
     p = sub.add_parser("eval", help="evaluate an objective for a tree over points")
     _add_points_arguments(p, required=True)
     p.add_argument("--objective", choices=OBJECTIVES, required=True)
     p.add_argument("--tree-file", required=True)
     p.add_argument("--out", default=None)
+    p.set_defaults(run=_cmd_eval)
 
     p = sub.add_parser(
         "enumerate-opt", help=f"exact optimum over all trees (n <= {OPT_MAX_N})"
@@ -564,6 +545,7 @@ def _build_cli() -> _Parser:
     _add_points_arguments(p, required=True)
     p.add_argument("--objective", choices=OBJECTIVES, required=True)
     p.add_argument("--out", default=None)
+    p.set_defaults(run=_cmd_enumerate_opt)
 
     p = sub.add_parser("experiment", help="run a benchmark experiment")
     esub = p.add_subparsers(dest="experiment", required=True)
@@ -583,12 +565,14 @@ def _build_cli() -> _Parser:
     t.add_argument("--solver", choices=("exhaustive", "lloyd"), default="lloyd")
     t.add_argument("--restarts", type=int, default=10)
     t.add_argument("--out", default=None)
+    t.set_defaults(run=_cmd_table1)
 
     rb = esub.add_parser("random-bad", help="revenue ratio decay of random trees")
     rb.add_argument("--sizes", default="4,8,12", help="comma-separated values of n")
     rb.add_argument("--trials", type=int, default=200)
     rb.add_argument("--seed", type=int, default=0)
     rb.add_argument("--out", default=None)
+    rb.set_defaults(run=_cmd_random_bad)
 
     return parser
 
@@ -600,6 +584,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_ultrametric(args: argparse.Namespace) -> int:
+    _check_size(args.n, 2 * (args.n - 1), "embedding")
     mode = args.mode.replace("-", "_")
     spec = generate_random(args.n, RngStream(args.seed), mode)
     _write_or_print(spec.serialize() + "\n", args.out)
@@ -662,22 +647,18 @@ def _cmd_table1(args: argparse.Namespace) -> int:
             separation=args.synth_separation,
             seed=args.synth_seed,
         )
+    # The config is checked before any data is read or drawn.
     config = ExperimentConfig(
         subsample_size=args.subsample,
-        input_csv=args.points,
-        synthetic=synthetic,
         num_runs=args.runs,
         algorithms=tuple(args.algo.split(",")),
         objectives=tuple(args.objective.split(",")),
         base_seed=args.seed,
-        output=args.out,
         solver=args.solver,
         lloyd_restarts=args.restarts,
-        ingest=_ingest_options(args),
     )
-    _, text = run_table1(config)
-    if not args.out:
-        sys.stdout.write(text)
+    data = _load_points(args) if synthetic is None else synthetic.build()
+    _write_or_print(run_table1(data, config)[1], args.out)
     return 0
 
 
@@ -688,26 +669,12 @@ def _cmd_random_bad(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "gen-ultrametric": _cmd_gen_ultrametric,
-    "embed": _cmd_embed,
-    "cluster": _cmd_cluster,
-    "eval": _cmd_eval,
-    "enumerate-opt": _cmd_enumerate_opt,
-}
-
-
 def cli_main(argv: Sequence[str]) -> int:
     """Entry point: 0 on success, 1 on usage errors, 2 on data errors."""
     parser = _build_cli()
     try:
         args = parser.parse_args(list(argv))
-        if args.command == "experiment":
-            handler = _cmd_table1 if args.experiment == "table1" else _cmd_random_bad
-        else:
-            handler = _COMMANDS[args.command]
-        return handler(args)
+        return args.run(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -97,6 +97,21 @@ def test_embed_size_guard_names_bytes_and_limit(capsys, monkeypatch, tmp_path):
     assert err == "error: a 4x6 embedding needs 192 bytes, over the limit of 191 bytes\n"
 
 
+def test_gen_ultrametric_size_guard_refuses_before_drawing(capsys, monkeypatch):
+    # n = 8193 is the first size whose n x 2(n-1) embedding exceeds the
+    # default limit; the spec is refused before any draw.
+    def never(*args, **kwargs):
+        raise AssertionError("generate_random must not run")
+
+    monkeypatch.setattr(harness, "generate_random", never)
+    code, out, err = run(capsys, ["gen-ultrametric", "--n", "8193"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: a 8193x16384 embedding needs 1073872896 bytes,"
+        " over the limit of 1073741824 bytes\n"
+    )
+
+
 # ----------------------------------------------------------------------
 # pipelines
 
@@ -254,6 +269,8 @@ def test_invalid_restarts_is_data_error(capsys, line_csv, argv):
           "--subsample", "10", "--seed", "-5"], "base_seed"),
         (["experiment", "table1", "--synth-k", "2", "--synth-n", "20", "--synth-dim", "2",
           "--subsample", "10", "--synth-seed", "-3"], "seed"),
+        (["gen-ultrametric", "--n", "5", "--seed", "-1"], "seed"),
+        (["experiment", "random-bad", "--sizes", "3", "--trials", "2", "--seed", "-1"], "seed"),
     ],
 )
 def test_negative_seed_is_data_error_naming_the_seed(capsys, line_csv, argv, field):
@@ -324,3 +341,22 @@ def test_ingest_reporting_on_stderr(capsys, tmp_path):
     code, out, err = run(capsys, ["cluster", "--points", str(mixed), "--algo", "single"])
     assert code == 0
     assert "dropped 1" in err
+
+
+def test_table1_points_reports_dropped_columns(capsys, tmp_path):
+    # table1 --points loads through the same path as cluster: the text
+    # column is dropped with cluster's note, and the report is that of the
+    # numeric-only file.
+    rows = [f"{0.5 * k!r},{(k * 7) % 5 - 2.25!r}" for k in range(12)]
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_text("".join(f"{r},label{k}\n" for k, r in enumerate(rows)))
+    numeric = tmp_path / "numeric.csv"
+    numeric.write_text("".join(f"{r}\n" for r in rows))
+    argv = ["experiment", "table1", "--subsample", "8", "--runs", "2", "--seed", "5",
+            "--objective", "revenue,ckmm"]
+    code, want, err = run(capsys, argv + ["--points", str(numeric)])
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, argv + ["--points", str(mixed)])
+    assert code == 0
+    assert err == "dropped 1 non-numeric column(s): [2]\n"
+    assert out == want

@@ -14,6 +14,7 @@ from hierclust import (
     StatsRow,
     build_random_bad_instance,
     clean_reference_tree,
+    cli_main,
     ingest_csv,
     ingest_csv_report,
     random_bad_report_csv,
@@ -224,8 +225,6 @@ def test_random_bad_instance_layout():
 def test_random_bad_instance_guards():
     with pytest.raises(ValueError):
         RandomBadInstanceSpec(1)
-    with pytest.raises(ValueError):
-        RandomBadInstanceSpec(3, inter_cluster_distance=0.0)
 
 
 def test_clean_reference_tree_earns_everything():
@@ -253,10 +252,12 @@ def test_run_random_bad_rows():
 # table experiment
 
 
+MIXTURE = GaussianMixtureSpec(k=4, n=80, dim=6, separation=20.0, seed=3)
+
+
 def mixture_config(**overrides):
     base = dict(
         subsample_size=40,
-        synthetic=GaussianMixtureSpec(k=4, n=80, dim=6, separation=20.0, seed=3),
         num_runs=2,
         algorithms=("bkm", "random"),
         objectives=("revenue",),
@@ -266,20 +267,24 @@ def mixture_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def run_mixture(**overrides):
+    return run_table1(MIXTURE.build(), mixture_config(**overrides))
+
+
 def test_table1_single_run_has_zero_std():
-    stats, _ = run_table1(mixture_config(num_runs=1))
+    stats, _ = run_mixture(num_runs=1)
     assert all(row.std == 0.0 for row in stats)
 
 
 def test_table1_upper_bound_row():
-    stats, _ = run_table1(mixture_config())
+    stats, _ = run_mixture()
     by = {(r.algorithm, r.objective): r for r in stats}
     ub = by[("upper_bound", "revenue")]
     assert ub.mean == 40 * 39 / 2 and ub.std == 0.0
 
 
 def test_table1_upper_bound_dominates_revenue_rows():
-    stats, text = run_table1(mixture_config(num_runs=3))
+    stats, text = run_mixture(num_runs=3)
     by = {(r.algorithm, r.objective): r for r in stats}
     ub = by[("upper_bound", "revenue")].mean
     for (algo, obj), row in by.items():
@@ -302,7 +307,7 @@ def test_table1_upper_bound_dominates_revenue_rows():
 
 
 def test_table1_ckmm_upper_bound_per_run():
-    stats, text = run_table1(mixture_config(objectives=("revenue", "ckmm")))
+    stats, text = run_mixture(objectives=("revenue", "ckmm"))
     lines = text.splitlines()
     assert lines[0] == "algorithm,objective,run,value"
     raw = {}
@@ -317,32 +322,39 @@ def test_table1_ckmm_upper_bound_per_run():
 
 
 def test_table1_bisecting_beats_random_on_separated_mixture():
+    data = GaussianMixtureSpec(k=8, n=400, dim=8, separation=20.0, seed=41).build()
     config = ExperimentConfig(
         subsample_size=200,
-        synthetic=GaussianMixtureSpec(k=8, n=400, dim=8, separation=20.0, seed=41),
         num_runs=5,
         algorithms=("bkm", "random"),
         objectives=("revenue",),
         base_seed=23,
     )
-    stats, _ = run_table1(config)
+    stats, _ = run_table1(data, config)
     by = {(r.algorithm, r.objective): r.mean for r in stats}
     assert by[("bkm", "revenue")] > by[("random", "revenue")]
 
 
-def test_table1_deterministic_and_writes_output(tmp_path):
-    out = tmp_path / "report.csv"
-    _, text1 = run_table1(mixture_config(output=str(out)))
-    first = out.read_bytes()
-    _, text2 = run_table1(mixture_config(output=str(out)))
-    assert first == out.read_bytes()
+def test_table1_deterministic_and_writes_output(tmp_path, capsys):
+    # run_table1 writes no file; the CLI writes the same text to --out.
+    _, text1 = run_mixture()
+    _, text2 = run_mixture()
     assert text1 == text2
-    assert b"# summary" in first
+    assert "# summary" in text1
+    out = tmp_path / "report.csv"
+    argv = [
+        "experiment", "table1", "--synth-k", "4", "--synth-n", "80", "--synth-dim", "6",
+        "--synth-separation", "20", "--synth-seed", "3", "--subsample", "40", "--runs", "2",
+        "--seed", "17", "--algo", "bkm,random", "--objective", "revenue", "--out", str(out),
+    ]
+    assert cli_main(argv) == 0
+    assert out.read_text() == text1
+    assert capsys.readouterr().out == ""
 
 
 def test_table1_subsample_too_large():
     with pytest.raises(DataError):
-        run_table1(mixture_config(subsample_size=500))
+        run_mixture(subsample_size=500)
 
 
 def test_experiment_config_validation():
@@ -352,12 +364,8 @@ def test_experiment_config_validation():
         mixture_config(algorithms=("bogus",))
     with pytest.raises(ValueError):
         mixture_config(objectives=("bogus",))
-    with pytest.raises(ValueError):
-        ExperimentConfig(subsample_size=10)  # neither csv nor synthetic
     with pytest.raises(ValueError, match="lloyd_restarts"):
         mixture_config(lloyd_restarts=0)
-    with pytest.raises(ValueError, match="max_exhaustive_n"):
-        mixture_config(max_exhaustive_n=65)
     with pytest.raises(ValueError, match="base_seed must be a non-negative integer"):
         mixture_config(base_seed=-1)
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
@@ -373,13 +381,12 @@ def test_table1_from_csv(tmp_path):
     path.write_text(rows + "\n")
     config = ExperimentConfig(
         subsample_size=10,
-        input_csv=str(path),
         num_runs=1,
         algorithms=("avg", "single"),
         objectives=("revenue", "dasgupta"),
         base_seed=2,
     )
-    stats, _ = run_table1(config)
+    stats, _ = run_table1(ingest_csv(str(path)), config)
     assert {(r.algorithm, r.objective) for r in stats} == {
         ("avg", "revenue"),
         ("avg", "dasgupta"),
