@@ -21,7 +21,6 @@ from .algorithms import (
 )
 from .harness import (
     ALGORITHMS,
-    OBJECTIVES,
     DataError,
     ExperimentConfig,
     GaussianMixtureSpec,
@@ -51,7 +50,6 @@ from .metricspace import (
     ABS_TOL,
     REL_TOL,
     DistanceMatrix,
-    KMeansSolution,
     PointSet,
     centroid,
     check_metric,

@@ -178,38 +178,34 @@ class RngStream:
         return out
 
 
+# The 2-means solvers' fixed settings; `TwoMeansSolverConfig` says what each does.
+MAX_EXHAUSTIVE_N = 20
+LLOYD_MAX_ITERS = 100
+LLOYD_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class TwoMeansSolverConfig:
     """How a single 2-means split is solved.
 
     `exhaustive` enumerates all 2^(m-1) - 1 bipartitions and refuses sets
-    larger than `max_exhaustive_n`; `lloyd` runs `lloyd_restarts` k-means++
-    seeded Lloyd iterations and keeps the best. A Lloyd restart stops once
-    no center moves more than `lloyd_tol` times the current set's exact
-    diameter; bounds on the diameter settle most moves, so the exact value
-    is computed only when they cannot, and never changes the outcome.
-    `max_exhaustive_n` is at most 64, the widest set whose 2^(m-1)
-    bipartition masks fit in int64.
+    larger than `MAX_EXHAUSTIVE_N` (20); `lloyd` runs `lloyd_restarts`
+    k-means++ seeded Lloyd iterations and keeps the best. A Lloyd restart
+    stops after `LLOYD_MAX_ITERS` (100) iterations, or once no center moves
+    more than `LLOYD_TOL` (1e-9) times the current set's exact diameter;
+    bounds on the diameter settle most moves, so the exact value is computed
+    only when they cannot, and never changes the outcome.
     """
 
     kind: str = "exhaustive"
-    max_exhaustive_n: int = 20
     lloyd_restarts: int = 10
-    lloyd_max_iters: int = 100
-    lloyd_tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in ("exhaustive", "lloyd"):
             raise ValueError(f"solver kind must be 'exhaustive' or 'lloyd', got {self.kind!r}")
-        if not 1 <= self.max_exhaustive_n <= 64:
-            raise ValueError(f"max_exhaustive_n must be in 1..64, got {self.max_exhaustive_n}")
         if self.lloyd_restarts < 1:
             raise ValueError(f"lloyd_restarts must be at least 1, got {self.lloyd_restarts}")
-        if self.lloyd_max_iters < 1:
-            raise ValueError(f"lloyd_max_iters must be at least 1, got {self.lloyd_max_iters}")
-        if not (self.lloyd_tol >= 0.0 and np.isfinite(self.lloyd_tol)):
-            raise ValueError(f"lloyd_tol must be finite and nonnegative, got {self.lloyd_tol}")
         _check_seed("seed", self.seed)
 
 
@@ -532,10 +528,10 @@ def _lloyd_batch(
     second = np.where(totals == 0.0, 0, (cdf <= draws[:, None]).sum(axis=1))
     centers = np.stack([starts, pts[owner, second]], axis=1)
     assign = np.zeros((len(owner), width), dtype=np.intp)
-    converged = _move_test(pts, sizes, config.lloyd_tol)
+    converged = _move_test(pts, sizes, LLOYD_TOL)
     sq = np.einsum("kij,kij->ki", pts, pts)
     live = np.arange(len(owner))
-    for _ in range(config.lloyd_max_iters):
+    for _ in range(LLOYD_MAX_ITERS):
         node = owner[live]
         old = centers[live]
         # argmin over the two centers: side 1 only when strictly nearer.
@@ -585,10 +581,8 @@ def _split_nodes(
     (len(nodes), t) integer array `keys`.
     """
     if config.kind == "exhaustive":
-        if max(len(ids) for ids in nodes) > config.max_exhaustive_n:
-            raise ValueError(
-                f"exhaustive 2-means refuses sets larger than {config.max_exhaustive_n}"
-            )
+        if max(len(ids) for ids in nodes) > MAX_EXHAUSTIVE_N:
+            raise ValueError(f"exhaustive 2-means refuses sets larger than {MAX_EXHAUSTIVE_N}")
         return [_exhaustive_two_means(coords, ids) for ids in nodes]
     # A node of equal points takes the split a 2-point node has, without
     # drawing: both seeds sit on one point and none is strictly nearer the
@@ -701,7 +695,7 @@ def bisecting_kmeans(points: PointSet, config: TwoMeansSolverConfig) -> HierTree
 _FLIP_CHUNK = 1024
 
 
-def random_tree(n_or_points: Union[int, PointSet], rng: RngStream) -> HierTree:
+def random_tree(n: int, rng: RngStream) -> HierTree:
     """Divisive baseline: each point picks a side by a fair coin at every node.
 
     A flip leaving one side empty is invalid; the whole node's coin vector
@@ -713,7 +707,6 @@ def random_tree(n_or_points: Union[int, PointSet], rng: RngStream) -> HierTree:
     redraws included. PCG64 hands out one 32-bit word per flip in sequence
     across calls, so the tree equals the one drawn node by node.
     """
-    n = n_or_points if isinstance(n_or_points, (int, np.integer)) else n_or_points.n
     n = int(n)
     if n < 1:
         raise ValueError("need at least one point")

@@ -39,6 +39,7 @@ from .algorithms import (
 from .hiertree import HierTree, TreeParseError, parse
 from .metricspace import DistanceMatrix, PointSet, pairwise_distances
 from .objectives import (
+    OBJECTIVE_KINDS,
     OPT_MAX_N,
     ObjectiveReport,
     brute_force_opt,
@@ -50,7 +51,6 @@ from .objectives import (
 from .ultrametric import UltrametricSpec, embed_euclidean, generate_random
 
 ALGORITHMS = ("bkm", "avg", "single", "random")
-OBJECTIVES = ("revenue", "ckmm", "dasgupta")
 
 _ALGO_KEY = {name: k for k, name in enumerate(ALGORITHMS)}
 
@@ -299,7 +299,7 @@ class ExperimentConfig:
             if a not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {a!r}")
         for o in self.objectives:
-            if o not in OBJECTIVES:
+            if o not in OBJECTIVE_KINDS:
                 raise ValueError(f"unknown objective {o!r}")
         _check_seed("base_seed", self.base_seed)
         self._solver_config(seed=0)  # validates the solver fields
@@ -463,11 +463,14 @@ def _points_csv_text(points: PointSet) -> str:
 
 
 def _write_or_print(text: str, out: Optional[str]) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise DataError(f"cannot write {out}: {exc}") from exc
 
 
 def _ingest_options(args: argparse.Namespace) -> IngestOptions:
@@ -534,7 +537,7 @@ def _build_cli() -> _Parser:
 
     p = sub.add_parser("eval", help="evaluate an objective for a tree over points")
     _add_points_arguments(p, required=True)
-    p.add_argument("--objective", choices=OBJECTIVES, required=True)
+    p.add_argument("--objective", choices=OBJECTIVE_KINDS, required=True)
     p.add_argument("--tree-file", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(run=_cmd_eval)
@@ -543,7 +546,7 @@ def _build_cli() -> _Parser:
         "enumerate-opt", help=f"exact optimum over all trees (n <= {OPT_MAX_N})"
     )
     _add_points_arguments(p, required=True)
-    p.add_argument("--objective", choices=OBJECTIVES, required=True)
+    p.add_argument("--objective", choices=OBJECTIVE_KINDS, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(run=_cmd_enumerate_opt)
 

@@ -69,11 +69,13 @@ class HierTree:
     """Rooted binary dendrogram; immutable.
 
     `nodes[k]` is either an int (the point index of a leaf) or a pair of
-    child node ids. Construction validates the full shape contract: every
-    point index appears on exactly one leaf, every internal node has two
-    children, there is one root, and everything is reachable exactly once.
+    child node ids. Construction checks the full shape contract in one walk
+    from the root and one sweep back over it: every point index appears on
+    exactly one leaf, every internal node has two children, there is one
+    root, and everything is reachable exactly once. Every builder in the
+    library goes through this one constructor.
 
-    The same pass records the leaves in post-order (each node's first child
+    The sweep records the leaves in post-order (each node's first child
     before its second) as one read-only array, so every node's leaves are
     one slice of it: `leaf_array` and `split_arrays` return views into that
     array, O(n) memory in all. `split_arrays` is cached on first use.
@@ -94,97 +96,75 @@ class HierTree:
     )
 
     def __init__(self, nodes: Sequence[NodeSpec], root: int):
-        normalized: List[NodeSpec] = []
-        for entry in nodes:
-            if isinstance(entry, (int, np.integer)):
-                normalized.append(int(entry))
-            else:
-                try:
-                    a, b = entry
-                except (TypeError, ValueError):
-                    raise ValueError("node entries must be point indices or (left, right) pairs")
-                normalized.append((int(a), int(b)))
-        self.nodes = tuple(normalized)
-        self.root = int(root)
-        self._validate()
-        self._split_arrays = None
-
-    def _validate(self) -> None:
-        nodes = self.nodes
-        n_nodes = len(nodes)
+        entries = list(nodes)
+        n_nodes = len(entries)
         if n_nodes == 0:
             raise ValueError("tree must have at least one node")
-        if not (0 <= self.root < n_nodes):
+        root = int(root)
+        if not (0 <= root < n_nodes):
             raise ValueError("root id out of range")
-        leaves = [v for v in nodes if isinstance(v, int)]
-        n = len(leaves)
-        if n_nodes != 2 * n - 1:
-            raise ValueError(f"{n} leaves require {2 * n - 1} nodes, got {n_nodes}")
-        if sorted(leaves) != list(range(n)):
-            raise ValueError("leaf point indices must be exactly 0..n-1, each once")
-
+        # The walk meets each node once; a child met before has two parents or closes a cycle.
         parent = [-1] * n_nodes
-        for nid, v in enumerate(nodes):
-            if isinstance(v, int):
+        walk: List[int] = []
+        stack = [root]
+        while stack:
+            nid = stack.pop()
+            walk.append(nid)
+            v = entries[nid]
+            if isinstance(v, (int, np.integer)):
+                entries[nid] = int(v)
                 continue
-            for c in v:
+            try:
+                a, b = v
+                pair = (int(a), int(b))
+            except (TypeError, ValueError):
+                raise ValueError("node entries must be point indices or (left, right) pairs")
+            entries[nid] = pair
+            for c in pair:
                 if not (0 <= c < n_nodes):
                     raise ValueError(f"child id {c} out of range")
-                if c == nid:
-                    raise ValueError("node cannot be its own child")
-                if parent[c] != -1:
-                    raise ValueError(f"node {c} has two parents")
+                if c == root or parent[c] != -1:
+                    raise ValueError(
+                        f"node {c} has two parents" if c != root else "root must not have a parent"
+                    )
                 parent[c] = nid
-        if parent[self.root] != -1:
-            raise ValueError("root must not have a parent")
-
-        # Iterative post-order; doubles as the reachability/acyclicity check.
-        post: List[int] = []
-        stack: List[Tuple[int, bool]] = [(self.root, False)]
-        seen = 0
-        while stack:
-            nid, done = stack.pop()
-            if done:
-                post.append(nid)
-                continue
-            seen += 1
-            stack.append((nid, True))
-            v = nodes[nid]
-            if not isinstance(v, int):
-                stack.append((v[1], False))
-                stack.append((v[0], False))
-        if seen != n_nodes:
+            stack += pair
+        if len(walk) != n_nodes:
             raise ValueError("all nodes must be reachable from the root")
-
+        # The walk takes second children first, so reversed it is the post-order
+        # (first child's subtree first) of a full binary tree: 2n - 1 nodes, n leaves.
+        walk.reverse()
+        n = (n_nodes + 1) // 2
         min_leaf = [0] * n_nodes
-        count = [0] * n_nodes
+        count = [1] * n_nodes
         start = [0] * n_nodes
         leaf_node = [-1] * n
         order: List[int] = []
-        for nid in post:
-            v = nodes[nid]
+        for nid in walk:
+            v = entries[nid]
             if isinstance(v, int):
+                if not 0 <= v < n or leaf_node[v] != -1:
+                    raise ValueError("leaf point indices must be exactly 0..n-1, each once")
                 min_leaf[nid] = v
-                count[nid] = 1
-                start[nid] = len(order)
                 leaf_node[v] = nid
                 order.append(v)
             else:
                 a, b = v
                 min_leaf[nid] = min(min_leaf[a], min_leaf[b])
                 count[nid] = count[a] + count[b]
-                start[nid] = start[a]
-        leaf_order = np.array(order, dtype=np.intp)
-        leaf_order.flags.writeable = False
-
+            start[nid] = len(order) - count[nid]
+        self.nodes = tuple(entries)
+        self.root = root
         self.n_leaves = n
         self._parent = tuple(parent)
         self._min_leaf = tuple(min_leaf)
         self._count_under = tuple(count)
-        self._post_order = tuple(post)
+        self._post_order = tuple(walk)
         self._leaf_node = tuple(leaf_node)
-        self._leaf_order = leaf_order
+        self._leaf_order = np.array(order, dtype=np.intp)
+        self._leaf_order.flags.writeable = False
         self._leaf_start = tuple(start)
+        self._split_arrays = None
 
     # ------------------------------------------------------------------
     # constructors / conversions

@@ -59,9 +59,6 @@ class PointSet:
     def dim(self) -> int:
         return int(self.coords.shape[1])
 
-    def point(self, i: int) -> np.ndarray:
-        return self.coords[i]
-
 
 # Rows of one stripe of the symmetry check in `DistanceMatrix`.
 _SYMMETRY_ROWS = 256
@@ -117,41 +114,6 @@ class DistanceMatrix:
     @property
     def n(self) -> int:
         return int(self.values.shape[0])
-
-
-@dataclass(frozen=True)
-class KMeansSolution:
-    """A k-way partition of 0..n-1 together with its sum-of-squares cost."""
-
-    parts: tuple[frozenset[int], ...]
-    cost: float
-
-    def __post_init__(self) -> None:
-        parts = tuple(frozenset(int(i) for i in p) for p in self.parts)
-        if not parts:
-            raise ValueError("at least one part required")
-        if any(not p for p in parts):
-            raise ValueError("parts must be nonempty")
-        total = sum(len(p) for p in parts)
-        union = frozenset().union(*parts)
-        if len(union) != total:
-            raise ValueError("parts must be disjoint")
-        if union != frozenset(range(total)):
-            raise ValueError("parts must cover exactly the indices 0..n-1")
-        if not (self.cost >= 0.0):
-            raise ValueError("cost must be nonnegative")
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "cost", float(self.cost))
-
-    @classmethod
-    def from_parts(cls, points: PointSet, parts: Sequence[Iterable[int]]) -> "KMeansSolution":
-        """Build a solution with the cost recomputed from the points."""
-        sets = tuple(frozenset(int(i) for i in p) for p in parts)
-        return cls(sets, kmeans_cost(points, sets))
-
-    def verify_cost(self, points: PointSet) -> bool:
-        """Check the stored cost against a fresh recomputation."""
-        return close(self.cost, kmeans_cost(points, self.parts))
 
 
 def _index_array(indexset: Iterable[int], n: int, what: str = "index set") -> np.ndarray:

@@ -98,12 +98,12 @@ def test_two_means_exhaustive_is_optimal():
             assert tuple(sorted(split.left_set)) == tied[0]
 
 
-def test_two_means_guards():
+def test_two_means_guards(monkeypatch):
     ps = line_points()
     with pytest.raises(ValueError):
         two_means(ps, {0}, exhaustive_cfg())
-    with pytest.raises(ValueError):
-        two_means(ps, range(3), TwoMeansSolverConfig(kind="exhaustive", max_exhaustive_n=2))
+    with pytest.raises(ValueError, match="refuses sets larger than 20$"):
+        two_means(PointSet(np.arange(21.0)[:, None]), range(21), exhaustive_cfg())
     with pytest.raises(ValueError):
         TwoMeansSolverConfig(kind="bogus")
     with pytest.raises(IndexError):
@@ -111,23 +111,19 @@ def test_two_means_guards():
     bad_fields = [
         {"lloyd_restarts": 0},
         {"lloyd_restarts": -1},
-        {"lloyd_max_iters": 0},
-        {"lloyd_tol": -1e-9},
-        {"lloyd_tol": float("inf")},
-        {"lloyd_tol": float("nan")},
-        {"max_exhaustive_n": 0},
-        {"max_exhaustive_n": 65},
         {"seed": -1},
         {"seed": 1.5},
     ]
     for fields in bad_fields:
         with pytest.raises(ValueError, match=next(iter(fields))):
             TwoMeansSolverConfig(kind="lloyd", **fields)
-    TwoMeansSolverConfig(kind="exhaustive", max_exhaustive_n=64, lloyd_tol=0.0)
     # Exhaustive bisecting never draws, but a negative seed is refused all the same.
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
         TwoMeansSolverConfig(kind="exhaustive", seed=-1)
     TwoMeansSolverConfig(kind="lloyd", seed=np.int64(2**40))
+    monkeypatch.setattr(algorithms, "MAX_EXHAUSTIVE_N", 2)
+    with pytest.raises(ValueError, match="refuses sets larger than 2$"):
+        two_means(ps, range(3), exhaustive_cfg())
 
 
 def test_subset_diameter_bounds_its_row_block():
@@ -290,9 +286,11 @@ def test_random_tree_deterministic():
         assert a == b
 
 
-def test_random_tree_accepts_pointset():
+def test_random_tree_takes_a_point_count():
     ps = line_points()
-    assert random_tree(ps, RngStream(4)).n_leaves == 3
+    assert random_tree(ps.n, RngStream(4)).n_leaves == 3
+    with pytest.raises(TypeError):
+        random_tree(ps, RngStream(4))
 
 
 def test_random_tree_three_leaf_distribution():

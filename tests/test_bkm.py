@@ -17,6 +17,7 @@ screen must return `d1 < d0` of `_squared_distances`, run by run, on
 points on and beside the centers' bisector.
 """
 
+import contextlib
 import itertools
 import tracemalloc
 
@@ -84,12 +85,12 @@ def _reference_lloyd_two_means(coords, ids, config, rng):
     pts = coords[ids]
     # The diameter as the maximum over row blocks is exact: sqrt is monotone.
     diameter = max(float(block.max()) for _, block in _distance_blocks(pts, pts))
-    move_tol = config.lloyd_tol * diameter
+    move_tol = algorithms.LLOYD_TOL * diameter
     best_cost = np.inf
     best_assign = None
     for r in range(config.lloyd_restarts):
         g = rng.substream(r).generator()
-        assign = _lloyd_once(pts, g, config.lloyd_max_iters, move_tol)
+        assign = _lloyd_once(pts, g, algorithms.LLOYD_MAX_ITERS, move_tol)
         cost = _one_means_cost(coords, ids[assign == 0]) + _one_means_cost(
             coords, ids[assign == 1]
         )
@@ -101,15 +102,27 @@ def _reference_lloyd_two_means(coords, ids, config, rng):
 
 # The settings the golden digests pin: defaults, one iteration, one restart,
 # an exact zero tolerance, and tolerances wide enough that moves fall
-# between the diameter bounds tol * r and tol * 2r.
+# between the diameter bounds tol * r and tol * 2r. Upper-case names are
+# module constants of `algorithms`, the others config fields.
 SETTINGS = (
     {},
-    {"lloyd_max_iters": 1},
+    {"LLOYD_MAX_ITERS": 1},
     {"lloyd_restarts": 1},
-    {"lloyd_tol": 0.0},
-    {"lloyd_tol": 0.5},
-    {"lloyd_tol": 0.2, "lloyd_restarts": 3},
+    {"LLOYD_TOL": 0.0},
+    {"LLOYD_TOL": 0.5},
+    {"LLOYD_TOL": 0.2, "lloyd_restarts": 3},
 )
+
+
+@contextlib.contextmanager
+def _solver(fields, seed, kind="lloyd"):
+    """The config of the lower-case `fields`, with the upper-case ones set on `algorithms`."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in fields.items():
+            if name.isupper():
+                mp.setattr(algorithms, name, value)
+        config = {name: value for name, value in fields.items() if not name.isupper()}
+        yield TwoMeansSolverConfig(kind=kind, seed=seed, **config)
 
 
 def _ids(tree):
@@ -126,10 +139,10 @@ def _assert_matches(coords, ids, seed=0):
     coords = np.asarray(coords, dtype=np.float64)
     ids = np.asarray(ids, dtype=np.intp)
     for fields in SETTINGS:
-        config = TwoMeansSolverConfig(kind="lloyd", seed=seed, **fields)
-        rng = RngStream(seed, (4,))
-        want = _reference_lloyd_two_means(coords, ids, config, rng)
-        _assert_same_sides(_lloyd_two_means(coords, ids, config, rng), want, fields)
+        with _solver(fields, seed) as config:
+            rng = RngStream(seed, (4,))
+            want = _reference_lloyd_two_means(coords, ids, config, rng)
+            _assert_same_sides(_lloyd_two_means(coords, ids, config, rng), want, fields)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 8, 32, 200])
@@ -219,17 +232,17 @@ def test_split_nodes_matches_each_node_alone():
         nodes = [np.sort(perm[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
         keys = 7 * np.arange(len(nodes))[:, None] + 1
         for fields in SETTINGS:
-            config = TwoMeansSolverConfig(kind="lloyd", seed=5, **fields)
-            rng = RngStream(5)
-            got = _split_nodes(coords, nodes, keys, config, rng)
-            for k, ids in enumerate(nodes):
-                context = (fields, len(ids))
-                alone = _split_nodes(coords, [ids], keys[k : k + 1], config, rng)[0]
-                _assert_same_sides(got[k], alone, context)
-                if len(ids) > 2:
-                    stream = rng.substream(keys[k, 0])
-                    want = _reference_lloyd_two_means(coords, ids, config, stream)
-                    _assert_same_sides(got[k], want, context)
+            with _solver(fields, 5) as config:
+                rng = RngStream(5)
+                got = _split_nodes(coords, nodes, keys, config, rng)
+                for k, ids in enumerate(nodes):
+                    context = (fields, len(ids))
+                    alone = _split_nodes(coords, [ids], keys[k : k + 1], config, rng)[0]
+                    _assert_same_sides(got[k], alone, context)
+                    if len(ids) > 2:
+                        stream = rng.substream(keys[k, 0])
+                        want = _reference_lloyd_two_means(coords, ids, config, stream)
+                        _assert_same_sides(got[k], want, context)
 
 
 def test_two_means_lloyd_matches_per_restart_loop():
@@ -238,13 +251,13 @@ def test_two_means_lloyd_matches_per_restart_loop():
     for seed, size in ((0, 2), (1, 3), (2, 9), (3, 40), (4, 80)):
         ids = np.sort(g.choice(80, size=size, replace=False))
         for fields in SETTINGS:
-            config = TwoMeansSolverConfig(kind="lloyd", seed=seed, **fields)
-            first, second, cost = _reference_lloyd_two_means(
-                points.coords, ids, config, RngStream(seed)
-            )
-            got = two_means(points, ids.tolist(), config)
-            assert got[0] == Split(frozenset(first.tolist()), frozenset(second.tolist()))
-            assert float.hex(got[1]) == float.hex(cost)
+            with _solver(fields, seed) as config:
+                first, second, cost = _reference_lloyd_two_means(
+                    points.coords, ids, config, RngStream(seed)
+                )
+                got = two_means(points, ids.tolist(), config)
+                assert got[0] == Split(frozenset(first.tolist()), frozenset(second.tolist()))
+                assert float.hex(got[1]) == float.hex(cost)
 
 
 def test_exact_diameter_only_between_its_bounds(monkeypatch):
@@ -266,10 +279,11 @@ def test_exact_diameter_only_between_its_bounds(monkeypatch):
     # A wide tolerance puts some first moves between tol * r and tol * 2r;
     # the exact diameter is then computed once for the set, and the answer
     # still matches the loop that always computed it.
+    monkeypatch.setattr(algorithms, "LLOYD_TOL", 0.2)
     hits = 0
     for seed in range(8):
         calls.clear()
-        config = TwoMeansSolverConfig(kind="lloyd", lloyd_tol=0.2, seed=seed)
+        config = TwoMeansSolverConfig(kind="lloyd", seed=seed)
         got = _lloyd_two_means(coords, ids, config, RngStream(seed))
         want = _reference_lloyd_two_means(coords, ids, config, RngStream(seed))
         _assert_same_sides(got, want)
@@ -452,17 +466,19 @@ def test_equal_point_nodes_match_lloyd(max_iters):
         assert (coords[ids] == coords[ids[0]]).all()
         for k, fields in enumerate(SETTINGS):
             if max_iters is not None:
-                fields = {**fields, "lloyd_max_iters": max_iters}
-            config = TwoMeansSolverConfig(kind="lloyd", seed=k, **fields)
-            rng = RngStream(k, (6,))
-            got = _lloyd_two_means(coords, ids, config, rng)
-            want = (ids[:1], ids[1:], _one_means_cost(coords, ids[1:]))
-            _assert_same_sides(got, want, fields)
-            _assert_same_sides(got, _reference_lloyd_two_means(coords, ids, config, rng), fields)
-            no_keys = np.empty((1, 0), dtype=np.int64)
-            first, draws = _restart_draws(rng, no_keys, np.array([len(ids)]), config.lloyd_restarts)
-            batch = algorithms._lloyd_batch(coords, [ids], config, first, draws)[0]
-            _assert_same_sides(got, batch, fields)
+                fields = {**fields, "LLOYD_MAX_ITERS": max_iters}
+            with _solver(fields, k) as config:
+                rng = RngStream(k, (6,))
+                got = _lloyd_two_means(coords, ids, config, rng)
+                want = (ids[:1], ids[1:], _one_means_cost(coords, ids[1:]))
+                _assert_same_sides(got, want, fields)
+                want = _reference_lloyd_two_means(coords, ids, config, rng)
+                _assert_same_sides(got, want, fields)
+                no_keys = np.empty((1, 0), dtype=np.int64)
+                sizes = np.array([len(ids)])
+                first, draws = _restart_draws(rng, no_keys, sizes, config.lloyd_restarts)
+                batch = algorithms._lloyd_batch(coords, [ids], config, first, draws)[0]
+                _assert_same_sides(got, batch, fields)
 
 
 def test_equal_point_nodes_skip_the_batch_beside_other_nodes(monkeypatch):
@@ -485,16 +501,16 @@ def test_equal_point_nodes_skip_the_batch_beside_other_nodes(monkeypatch):
     nodes = [np.arange(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
     keys = 3 * np.arange(len(nodes))[:, None] + 2
     for fields in SETTINGS:
-        config = TwoMeansSolverConfig(kind="lloyd", seed=7, **fields)
-        rng = RngStream(7)
-        batched.clear()
-        got = _split_nodes(coords, nodes, keys, config, rng)
-        assert batched == [ids.tolist() for ids in nodes[3:]]
-        for k, ids in enumerate(nodes):
-            alone = _split_nodes(coords, [ids], keys[k : k + 1], config, rng)[0]
-            _assert_same_sides(got[k], alone, fields)
-            want = _reference_lloyd_two_means(coords, ids, config, rng.substream(keys[k, 0]))
-            _assert_same_sides(got[k], want, fields)
+        with _solver(fields, 7) as config:
+            rng = RngStream(7)
+            batched.clear()
+            got = _split_nodes(coords, nodes, keys, config, rng)
+            assert batched == [ids.tolist() for ids in nodes[3:]]
+            for k, ids in enumerate(nodes):
+                alone = _split_nodes(coords, [ids], keys[k : k + 1], config, rng)[0]
+                _assert_same_sides(got[k], alone, fields)
+                want = _reference_lloyd_two_means(coords, ids, config, rng.substream(keys[k, 0]))
+                _assert_same_sides(got[k], want, fields)
 
 
 # ----------------------------------------------------------------------
@@ -535,9 +551,9 @@ def _random_points(n, dim):
 def _assert_same_tree(coords, seed=0, kind="lloyd", settings=SETTINGS):
     points = PointSet(np.asarray(coords, dtype=np.float64))
     for fields in settings:
-        config = TwoMeansSolverConfig(kind=kind, seed=seed, **fields)
-        want = _reference_bisecting_kmeans(points, config)
-        assert _ids(bisecting_kmeans(points, config)) == _ids(want), fields
+        with _solver(fields, seed, kind) as config:
+            want = _reference_bisecting_kmeans(points, config)
+            assert _ids(bisecting_kmeans(points, config)) == _ids(want), fields
 
 
 @pytest.mark.parametrize("dim", [1, 2, 8, 32])
@@ -608,9 +624,9 @@ def test_bisecting_matches_depth_first_build_on_drawn_points():
     def check(case):
         coords, fields, seed = case
         points = PointSet(coords)
-        config = TwoMeansSolverConfig(kind="lloyd", seed=seed, **fields)
-        want = _reference_bisecting_kmeans(points, config)
-        assert _ids(bisecting_kmeans(points, config)) == _ids(want)
+        with _solver(fields, seed) as config:
+            want = _reference_bisecting_kmeans(points, config)
+            assert _ids(bisecting_kmeans(points, config)) == _ids(want)
 
     check()
 

@@ -318,6 +318,36 @@ def test_distance_matrix_guard_exits_2(capsys, monkeypatch, tmp_path, line_csv, 
     assert err.count("\n") == 1
 
 
+# Every command that takes --out, with arguments under which it succeeds;
+# {points}, {spec} and {tree} name input files the test writes.
+OUT_COMMANDS = {
+    "synth": ["synth", "--k", "2", "--n", "10", "--dim", "2"],
+    "gen-ultrametric": ["gen-ultrametric", "--n", "4"],
+    "embed": ["embed", "--spec", "{spec}"],
+    "cluster": ["cluster", "--points", "{points}", "--algo", "avg"],
+    "eval": ["eval", "--objective", "revenue", "--points", "{points}", "--tree-file", "{tree}"],
+    "enumerate-opt": ["enumerate-opt", "--objective", "revenue", "--points", "{points}"],
+    "table1": ["experiment", "table1", "--points", "{points}", "--subsample", "3", "--runs", "1"],
+    "random-bad": ["experiment", "random-bad", "--sizes", "2", "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_failed_out_write_is_one_line_data_error(capsys, tmp_path, line_csv, command, target):
+    spec, tree = tmp_path / "spec.txt", tmp_path / "tree.txt"
+    spec.write_text("((0,1):1.0,2):2.0\n")
+    tree.write_text("((0,1),2)\n")
+    argv = [a.format(points=line_csv, spec=spec, tree=tree) for a in OUT_COMMANDS[command]]
+    assert cli_main(argv + ["--out", str(tmp_path / "ok.txt")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "missing" / "x.csv" if target == "missing_dir" else tmp_path
+    code, stdout, err = run(capsys, argv + ["--out", str(out)])
+    assert code == 2 and stdout == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out}: "), err
+
+
 def test_experiment_table1_needs_input(capsys):
     code, _, err = run(capsys, ["experiment", "table1", "--subsample", "10"])
     assert code == 1

@@ -46,6 +46,7 @@ from hierclust import (
     synth_gaussian_mixture,
     tree_revenue,
 )
+from hierclust import algorithms
 
 SIZES = (1, 2, 3, 17, 64)
 MODES = ("strict", "with_ties")
@@ -123,21 +124,28 @@ def _cases():
 
 # Lloyd inputs and solver settings no other digest covers: 1-D sums, ties,
 # coincident and all-zero points, one-iteration and one-restart solves, the
-# tolerance at both ends, and a table1-sized mixture.
+# tolerance at both ends, and a table1-sized mixture. The iteration cap and
+# the tolerance are module constants of `algorithms`, set in `_CONSTANTS`.
 _LLOYD_EDGE_CASES = {
     "dim1_200": (lambda: _points(200, 21, 1), {}),
     "dim1_grid_150": (lambda: _points(150, 22, 1, grid=True), {}),
     "coincident_48": (lambda: PointSet(np.tile(_points(6, 23).coords, (8, 1))), {}),
     "zeros_20": (lambda: PointSet(np.zeros((20, 3))), {}),
-    "max_iters_1": (lambda: _points(64, 24), {"lloyd_max_iters": 1}),
+    "max_iters_1": (lambda: _points(64, 24), {}),
     "restarts_1": (lambda: _points(64, 25), {"lloyd_restarts": 1}),
-    "tol_0": (lambda: _points(64, 26), {"lloyd_tol": 0.0}),
-    "tol_half": (lambda: _points(200, 27, 4), {"lloyd_tol": 0.5}),
-    "tol_half_grid": (lambda: _points(120, 28, 2, grid=True), {"lloyd_tol": 0.5}),
+    "tol_0": (lambda: _points(64, 26), {}),
+    "tol_half": (lambda: _points(200, 27, 4), {}),
+    "tol_half_grid": (lambda: _points(120, 28, 2, grid=True), {}),
     "mixture_1000x8": (
         lambda: synth_gaussian_mixture(8, 1000, 8, 20.0, RngStream(11)),
         {},
     ),
+}
+_CONSTANTS = {
+    "bkm_lloyd_max_iters_1": {"LLOYD_MAX_ITERS": 1},
+    "bkm_lloyd_tol_0": {"LLOYD_TOL": 0.0},
+    "bkm_lloyd_tol_half": {"LLOYD_TOL": 0.5},
+    "bkm_lloyd_tol_half_grid": {"LLOYD_TOL": 0.5},
 }
 
 
@@ -239,7 +247,9 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_digest(name):
+def test_golden_digest(name, monkeypatch):
+    for constant, value in _CONSTANTS.get(name, {}).items():
+        monkeypatch.setattr(algorithms, constant, value)
     assert _digest(CASES[name]()) == GOLDEN[name]
 
 

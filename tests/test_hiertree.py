@@ -5,12 +5,24 @@ import pytest
 
 from hierclust import (
     HierTree,
+    PointSet,
+    RandomBadInstanceSpec,
     RngStream,
     Split,
     TreeParseError,
+    TwoMeansSolverConfig,
+    UltrametricSpec,
+    average_linkage,
+    bisecting_kmeans,
+    brute_force_opt,
+    build_generating_tree,
+    clean_reference_tree,
     enumerate_trees,
+    generate_random,
+    pairwise_distances,
     parse,
     random_tree,
+    single_linkage,
 )
 
 
@@ -311,17 +323,168 @@ def test_parse_duplicate_and_missing_leaves():
 # construction validation
 
 
+def _reference_fields(nodes, root):
+    """The constructor before it was one walk: normalise, count leaves, link parents, post-order.
+
+    Returns every field the constructor sets, for comparison with `_fields`.
+    """
+    normalized = []
+    for entry in nodes:
+        if isinstance(entry, (int, np.integer)):
+            normalized.append(int(entry))
+        else:
+            try:
+                a, b = entry
+            except (TypeError, ValueError):
+                raise ValueError("node entries must be point indices or (left, right) pairs")
+            normalized.append((int(a), int(b)))
+    nodes = tuple(normalized)
+    root = int(root)
+    n_nodes = len(nodes)
+    if n_nodes == 0:
+        raise ValueError("tree must have at least one node")
+    if not (0 <= root < n_nodes):
+        raise ValueError("root id out of range")
+    leaves = [v for v in nodes if isinstance(v, int)]
+    n = len(leaves)
+    if n_nodes != 2 * n - 1:
+        raise ValueError(f"{n} leaves require {2 * n - 1} nodes, got {n_nodes}")
+    if sorted(leaves) != list(range(n)):
+        raise ValueError("leaf point indices must be exactly 0..n-1, each once")
+    parent = [-1] * n_nodes
+    for nid, v in enumerate(nodes):
+        if isinstance(v, int):
+            continue
+        for c in v:
+            if not (0 <= c < n_nodes):
+                raise ValueError(f"child id {c} out of range")
+            if c == nid:
+                raise ValueError("node cannot be its own child")
+            if parent[c] != -1:
+                raise ValueError(f"node {c} has two parents")
+            parent[c] = nid
+    if parent[root] != -1:
+        raise ValueError("root must not have a parent")
+    post = []
+    stack = [(root, False)]
+    seen = 0
+    while stack:
+        nid, done = stack.pop()
+        if done:
+            post.append(nid)
+            continue
+        seen += 1
+        stack.append((nid, True))
+        v = nodes[nid]
+        if not isinstance(v, int):
+            stack.append((v[1], False))
+            stack.append((v[0], False))
+    if seen != n_nodes:
+        raise ValueError("all nodes must be reachable from the root")
+    min_leaf = [0] * n_nodes
+    count = [0] * n_nodes
+    start = [0] * n_nodes
+    leaf_node = [-1] * n
+    order = []
+    for nid in post:
+        v = nodes[nid]
+        if isinstance(v, int):
+            min_leaf[nid] = v
+            count[nid] = 1
+            start[nid] = len(order)
+            leaf_node[v] = nid
+            order.append(v)
+        else:
+            a, b = v
+            min_leaf[nid] = min(min_leaf[a], min_leaf[b])
+            count[nid] = count[a] + count[b]
+            start[nid] = start[a]
+    return {
+        "nodes": nodes,
+        "root": root,
+        "n_leaves": n,
+        "_parent": tuple(parent),
+        "_min_leaf": tuple(min_leaf),
+        "_count_under": tuple(count),
+        "_post_order": tuple(post),
+        "_leaf_node": tuple(leaf_node),
+        "_leaf_order": order,
+        "_leaf_start": tuple(start),
+    }
+
+
+def _fields(tree):
+    out = {name: getattr(tree, name) for name in _reference_fields([0], 0)}
+    assert out["_leaf_order"].dtype == np.intp and not out["_leaf_order"].flags.writeable
+    out["_leaf_order"] = out["_leaf_order"].tolist()
+    return out
+
+
+def builder_trees():
+    """The output of every tree builder in the library, on small seeded inputs."""
+    g = np.random.default_rng(41)
+    points = PointSet(g.standard_normal((40, 3)))
+    dist = pairwise_distances(points)
+    spec = generate_random(30, RngStream(3), "with_ties")
+    trees = [HierTree([0], 0), HierTree.from_nested(((2, 0), (3, 1)))]
+    trees += [random_tree(n, RngStream(n)) for n in (1, 2, 3, 17, 156)]
+    trees += list(enumerate_trees(4))
+    trees += [parse("((3,(0,4)),((1,5),2))"), parse(random_tree(60, RngStream(8)).serialize())]
+    trees += [average_linkage(dist), single_linkage(dist)]
+    trees += [
+        bisecting_kmeans(PointSet(points.coords[:12]), TwoMeansSolverConfig(kind="exhaustive")),
+        bisecting_kmeans(points, TwoMeansSolverConfig(kind="lloyd", seed=4)),
+    ]
+    trees += [generate_random(25, RngStream(2)).topology, spec.topology]
+    trees += [build_generating_tree(spec.induced_matrix())]
+    trees += [UltrametricSpec.parse(spec.serialize()).topology]
+    trees += [brute_force_opt(PointSet(points.coords[:7]), "revenue")[0]]
+    trees += [clean_reference_tree(RandomBadInstanceSpec(3))]
+    return trees
+
+
+def test_constructor_matches_reference_on_every_builder():
+    trees = builder_trees()
+    for seed, tree in enumerate(list(trees)):
+        trees.append(scrambled(tree, seed))
+    for tree in trees:
+        assert _fields(tree) == _reference_fields(tree.nodes, tree.root)
+
+
+def test_constructor_normalises_numpy_entries():
+    tree = HierTree([(np.int64(1), np.int32(2)), np.int64(0), np.intp(1)], np.int64(0))
+    assert tree.nodes == ((1, 2), 0, 1) and tree.root == 0
+    assert all(type(x) is int for x in (tree.root, tree.nodes[1], tree.nodes[2], *tree.nodes[0]))
+    assert _fields(tree) == _reference_fields(tree.nodes, 0)
+
+
+# (nodes, root, message): one malformed node list per fault.
+MALFORMED = [
+    ([], 0, "at least one node"),
+    ([0], 1, "root id out of range"),
+    ([(1, 2), 0, 1], -1, "root id out of range"),
+    ([(1, 2, 3), 0, 1], 0, r"point indices or \(left, right\) pairs"),
+    ([(1, 2), None, 1], 0, r"point indices or \(left, right\) pairs"),
+    ([(1, 5), 0, 1], 0, "child id 5 out of range"),
+    ([(1, -1), 0, 1], 0, "child id -1 out of range"),
+    ([(0, 1), 0, 1], 0, "root must not have a parent"),  # self-child at the root
+    ([(1, 2), (3, 0), 0, 1], 0, "root must not have a parent"),  # a cycle through the root
+    ([(1, 2), (1, 3), 0, 1, 2], 0, "node 1 has two parents"),  # self-child below it
+    ([(1, 1), 0], 0, "node 1 has two parents"),
+    ([(1, 2), 0, 1, (0, 1)], 3, "node 1 has two parents"),
+    ([(1, 2), 0, 1, (4, 5), (3, 6), 2, 3], 0, "reachable"),  # nodes 3 and 4 form a cycle
+    ([0, 1], 0, "reachable"),  # two leaves, no internal node
+    ([(1, 2), 0, 5], 0, "leaf point indices"),
+    ([(1, 2), 0, 0], 0, "leaf point indices"),
+]
+
+
 def test_tree_validation_rejects_bad_structures():
-    with pytest.raises(ValueError):
-        HierTree([0, 1], 0)  # two leaves, no internal node
-    with pytest.raises(ValueError):
-        HierTree([(1, 2), 0, 0], 0)  # duplicate point index
-    with pytest.raises(ValueError):
-        HierTree([(1, 1), 0], 0)  # both children the same node
-    with pytest.raises(ValueError):
-        HierTree([(1, 2), 0, 1, (0, 1)], 3)  # node 1 has two parents
-    with pytest.raises(ValueError):
-        HierTree([(0, 1), 0, 1], 0)  # self-child cycle at root
+    for nodes, root, message in MALFORMED:
+        with pytest.raises(ValueError):
+            _reference_fields(nodes, root)
+        with pytest.raises(ValueError, match=message):
+            HierTree(nodes, root)
 
 
 def test_split_validation():

@@ -5,7 +5,6 @@ import pytest
 
 from hierclust import (
     DistanceMatrix,
-    KMeansSolution,
     PointSet,
     centroid,
     check_metric,
@@ -409,19 +408,6 @@ def test_distance_matrix_validation():
                     DistanceMatrix(bad)
                 with pytest.raises(ValueError, match="symmetric"):
                     DistanceMatrix._adopt(bad)
-
-
-def test_kmeans_solution_invariants():
-    ps = line_points()
-    sol = KMeansSolution.from_parts(ps, [{0, 1}, {2}])
-    assert sol.cost == 0.5
-    assert sol.verify_cost(ps)
-    with pytest.raises(ValueError):
-        KMeansSolution((frozenset({0, 1}), frozenset({1, 2})), 1.0)
-    with pytest.raises(ValueError):
-        KMeansSolution((frozenset({0, 2}),), 0.0)  # gap: not 0..n-1
-    with pytest.raises(ValueError):
-        KMeansSolution((frozenset({0}),), -1.0)
 
 
 # ----------------------------------------------------------------------
