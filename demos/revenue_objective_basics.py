@@ -39,5 +39,12 @@ print("the natural tree earns the full bound:", best_value == revenue_upper_boun
 
 print("\n-- the two evaluation routes agree --")
 tree = HierTree.from_nested(((0, 1), 2))
-print("split_sum:", tree_revenue(points, tree, "split_sum").total)
-print("pair_sum: ", tree_revenue(points, tree, "pair_sum").total)
+print("split_sum:", tree_revenue(points, tree).total)
+# The per-pair view: every pair scored in the split that separates it.
+pair_sum = sum(
+    pair_revenue(points, s.left_set, s.right_set, i, j)
+    for s in tree.splits()
+    for i in s.left_set
+    for j in s.right_set
+)
+print("pair_sum: ", pair_sum)

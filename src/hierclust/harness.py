@@ -92,7 +92,9 @@ class IngestOptions:
     With `columns=None` every column that parses as a number in every row is
     kept and the rest are dropped. With explicit columns, rows where a
     selected cell fails to parse are rejected (dropped and reported).
-    Row numbers are 1-based file lines, counting a skipped header.
+    A row's number is the 1-based file line it starts on, counting a skipped
+    header, blank lines and newlines inside quoted cells. A leading UTF-8
+    byte-order mark is not part of the first cell.
     """
 
     columns: Optional[Tuple[int, ...]] = None
@@ -117,24 +119,28 @@ def _parse_cell(cell: str) -> Optional[float]:
 
 def ingest_csv_report(path: str, options: IngestOptions = IngestOptions()) -> IngestResult:
     """Load a points CSV and report which columns and rows were used."""
+    rows: List[List[str]] = []
+    line: List[int] = []  # the file line each row starts on
     try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh, delimiter=options.delimiter))
-    except OSError as exc:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh, delimiter=options.delimiter)
+            if options.skip_header:
+                next(reader, None)
+            start = reader.line_num + 1
+            for row in reader:
+                if row:
+                    rows.append(row)
+                    line.append(start)
+                start = reader.line_num + 1
+    except (OSError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    first_data_line = 1
-    if options.skip_header:
-        rows = rows[1:]
-        first_data_line = 2
-    rows = [r for r in rows if r]
     if not rows:
         raise DataError(f"{path} has no data rows")
     width = len(rows[0])
     for k, row in enumerate(rows):
         if len(row) != width:
             raise DataError(
-                f"inconsistent column count at row {first_data_line + k}:"
-                f" expected {width}, got {len(row)}"
+                f"inconsistent column count at row {line[k]}: expected {width}, got {len(row)}"
             )
 
     # A row is parsed in one pass; only a row where float() refuses some
@@ -163,7 +169,7 @@ def ingest_csv_report(path: str, options: IngestOptions = IngestOptions()) -> In
                 raise DataError(f"selected column {j} out of range for width {width}")
         dropped = ()
         bad = [k for k in slow if any(parsed[k][j] is None for j in used)]
-        rejected = tuple(first_data_line + k for k in bad)
+        rejected = tuple(line[k] for k in bad)
         if bad:
             skip = set(bad)
             parsed = [row for k, row in enumerate(parsed) if k not in skip]
@@ -301,6 +307,10 @@ class ExperimentConfig:
         for o in self.objectives:
             if o not in OBJECTIVE_KINDS:
                 raise ValueError(f"unknown objective {o!r}")
+        # A repeated name would be run again and filed under the same key.
+        for field, names in (("algorithms", self.algorithms), ("objectives", self.objectives)):
+            if len(set(names)) < len(names):
+                raise ValueError(f"{field} must not repeat a name, got {','.join(names)}")
         _check_seed("base_seed", self.base_seed)
         self._solver_config(seed=0)  # validates the solver fields
 
@@ -596,7 +606,7 @@ def _cmd_gen_ultrametric(args: argparse.Namespace) -> int:
 
 def _read_text(path: str) -> str:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read().strip()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
@@ -673,7 +683,7 @@ def _cmd_random_bad(args: argparse.Namespace) -> int:
 
 
 def cli_main(argv: Sequence[str]) -> int:
-    """Entry point: 0 on success, 1 on usage errors, 2 on data errors."""
+    """Entry point: 0 on success, 1 on usage errors, 2 on data errors and out of memory."""
     parser = _build_cli()
     try:
         args = parser.parse_args(list(argv))
@@ -684,6 +694,9 @@ def cli_main(argv: Sequence[str]) -> int:
         return 1
     except (DataError, TreeParseError, ValueError, TypeError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's error names the allocation it refused
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
 
 

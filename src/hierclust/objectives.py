@@ -16,16 +16,19 @@ Three objectives are evaluated here:
 
 * dasgupta -- the same sum with similarity weights, minimized.
 
-The per-split view and the per-pair view of each objective are both
-implemented; they must agree, and `tree_revenue` exposes both as modes.
+Revenue has one route per view: `tree_revenue` scores a tree split by
+split, and `pair_revenue` scores one pair, the per-pair view. Summed over
+every pair of a tree, the per-pair view gives the per-split values to float
+accumulation error; the tests hold the split route to that sum.
 
-Every revenue route takes a side's radii, each point's distance to its own
-side's centroid, from one rule, `_radii`: the row blocks with the side in
-leaf order; `pair_revenue`, the per-pair view and the subset DP of
-`brute_force_opt` with it in index order. The batched small splits apply
-the same rule through `metricspace`'s sums, bit for bit. The pairs that the
-screened row blocks and the batch gather take their exact distances and
-revenues from one kernel, `_gathered_revenues`.
+Every revenue route works on `_unit_scaled` coordinates and takes a side's
+radii, each point's distance to its own side's centroid, from one rule,
+`_radii`: the row blocks with the side in leaf order; `pair_revenue` and
+the subset DP of `brute_force_opt` with it in index order. The batched small
+splits apply the same rule through `metricspace`'s sums, bit for bit. The
+pairs that `pair_revenue`, the screened row blocks and the batch gather
+take their exact distances and revenues from one kernel,
+`_gathered_revenues`, and with it the delta = 0 rule of `_pair_revenues`.
 
 Revenue by splits takes one of two routes per split, chosen by the split's
 own size. A split whose |S1|*|S2|*dim is at most `_SMALL_SPLIT_ENTRIES`
@@ -208,21 +211,21 @@ def pair_revenue(
     i: int,
     j: int,
 ) -> float:
-    """Revenue earned by the pair (i, j) split across (left_set, right_set)."""
+    """Revenue earned by the pair (i, j) split across (left_set, right_set).
+
+    The pair is scored on `_unit_scaled` coordinates with each side's radii
+    from `_radii` in index order, by `_gathered_revenues`; so coordinates
+    scaled by a power of two give the same bits, huge and tiny ones too.
+    """
     split = Split(left_set, right_set)
-    left, right = split.left_set, split.right_set
-    if i not in left:
+    if i not in split.left_set:
         raise ValueError(f"point {i} is not in the left side")
-    if j not in right:
+    if j not in split.right_set:
         raise ValueError(f"point {j} is not in the right side")
-    coords = points.coords
-    l, r = sorted(left), sorted(right)
-    delta = max(float(_radii(coords[l])[l.index(i)]), float(_radii(coords[r])[r.index(j)]))
-    if delta == 0.0:
-        return 1.0
-    dij = coords[i] - coords[j]
-    d = float(np.sqrt((dij * dij).sum()))
-    return min(d / delta, 1.0)
+    coords = _unit_scaled(points.coords)
+    l, r = sorted(split.left_set), sorted(split.right_set)
+    delta = np.maximum(_radii(coords[l])[[l.index(i)]], _radii(coords[r])[[r.index(j)]])
+    return float(_gathered_revenues(coords[[i]], coords[[j]], delta)[0])
 
 
 def _gathered_revenues(a: np.ndarray, b: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -388,35 +391,9 @@ def _revenue_values(coords: np.ndarray, tree: HierTree) -> List[float]:
     return out
 
 
-def _pair_revenue_values(coords: np.ndarray, tree: HierTree) -> List[float]:
-    """Per-split revenue summed pair by pair, in (i, j) order, as `pair_revenue` scores a pair.
-
-    Each point's distance to its own side's centroid is `_radii` of the
-    side in sorted order, once per split. Row i then scores its pairs (i,
-    j > i) in one array pass, with `pair_revenue`'s distance expression and
-    `_pair_revenues`, and `np.add.at` adds them into their splits' totals
-    one after another, in j order: the order of a loop over the pairs.
-    """
-    arrays = tree.split_arrays()
-    radius = np.zeros((len(arrays), len(coords)))
-    for s, (_, l, r) in enumerate(arrays):
-        for side in (np.sort(l), np.sort(r)):
-            radius[s, side] = _radii(coords[side])
-    values = np.zeros(len(arrays))
-    for i, row in enumerate(tree._split_index()):
-        s = row[i + 1 :]
-        diff = coords[i] - coords[i + 1 :]
-        dist = np.sqrt((diff * diff).sum(axis=1))
-        delta = np.maximum(radius[s, i], radius[s, np.arange(i + 1, len(coords))])
-        np.add.at(values, s, _pair_revenues(dist, delta))
-    return values.tolist()
-
-
-def _check_tree_points(points: PointSet, tree: HierTree) -> None:
-    if tree.n_leaves != points.n:
-        raise ValueError(
-            f"tree has {tree.n_leaves} leaves but the point set has {points.n} points"
-        )
+def _check_leaf_count(instance: Union[PointSet, DistanceMatrix], tree: HierTree) -> None:
+    if tree.n_leaves != instance.n:
+        raise ValueError(f"tree has {tree.n_leaves} leaves but there are {instance.n} points")
 
 
 def revenue_upper_bound(n: int) -> float:
@@ -426,26 +403,21 @@ def revenue_upper_bound(n: int) -> float:
     return float(n * (n - 1) // 2)
 
 
-def tree_revenue(points: PointSet, tree: HierTree, mode: str = "split_sum") -> ObjectiveReport:
-    """Total revenue of a tree, by splits or by pairs.
+def tree_revenue(points: PointSet, tree: HierTree) -> ObjectiveReport:
+    """Total revenue of a tree, split by split.
 
-    ``split_sum`` scores each split's pairs as arrays. Splits with
-    |S1|*|S2|*dim at most 8192 entries are scored together, in batches of
-    at most 2^20 pair-coordinate entries: the sides of all of them laid end
-    to end in split order, one centroid pass over all the sides, one
-    distance and revenue pass over all their pairs laid split-major and
-    row-major, and one pass that sums each split's pairs. Each larger split
-    is scored alone in row blocks. The two layouts give every split the same
-    value, bit for bit. In the row blocks a pair whose squared distance is
-    provably at least delta^2 earns 1 without its exact distance (a lower
-    bound from norms and an einsum dot product, never BLAS), which changes
-    no bit of any value.
-    ``pair_sum`` scores all n(n-1)/2 pairs, each in the split separating
-    it, as `pair_revenue` would, bit for bit: the radii are `_radii` of
-    each side once per split, the pairs (i, j > i) of row i go in one array
-    pass, and each pair is added into its split's total in (i, j) order.
-    The two modes evaluate the same function and must agree to float
-    accumulation error.
+    Each split's pairs are scored as arrays. Splits with |S1|*|S2|*dim at
+    most 8192 entries are scored together, in batches of at most 2^20
+    pair-coordinate entries: the sides of all of them laid end to end in
+    split order, one centroid pass over all the sides, one distance and
+    revenue pass over all their pairs laid split-major and row-major, and
+    one pass that sums each split's pairs. Each larger split is scored alone
+    in row blocks. The two layouts give every split the same value, bit for
+    bit. In the row blocks a pair whose squared distance is provably at
+    least delta^2 earns 1 without its exact distance (a lower bound from
+    norms and an einsum dot product, never BLAS), which changes no bit of
+    any value. Summing `pair_revenue` over each split's pairs gives the same
+    values to float accumulation error.
 
     A side whose points are all equal has that point as its centroid, so its
     radii are exactly 0; a pair between two such sides earns 1.
@@ -453,14 +425,8 @@ def tree_revenue(points: PointSet, tree: HierTree, mode: str = "split_sum") -> O
     The report holds the tree and its per-split values, root-first; it
     builds no `Split` until its `per_split` is read.
     """
-    _check_tree_points(points, tree)
-    if mode not in ("split_sum", "pair_sum"):
-        raise ValueError(f"mode must be 'split_sum' or 'pair_sum', got {mode!r}")
-    coords = _unit_scaled(points.coords)
-    if mode == "split_sum":
-        values = _revenue_values(coords, tree)
-    else:
-        values = _pair_revenue_values(coords, tree)
+    _check_leaf_count(points, tree)
+    values = _revenue_values(_unit_scaled(points.coords), tree)
     return ObjectiveReport("revenue", tree, values, revenue_upper_bound(points.n))
 
 
@@ -505,20 +471,13 @@ def _lca_weighted_values(values: np.ndarray, tree: HierTree) -> List[float]:
     return out
 
 
-def _check_tree_matrix(matrix: DistanceMatrix, tree: HierTree) -> None:
-    if tree.n_leaves != matrix.n:
-        raise ValueError(
-            f"tree has {tree.n_leaves} leaves but the matrix covers {matrix.n} points"
-        )
-
-
 def ckmm_value(dist: DistanceMatrix, tree: HierTree) -> ObjectiveReport:
     """Sum over pairs of d(i,j) times the pair's LCA leaf count (maximized).
 
     The reported upper bound is the sum of n * d(p, q) over pairs, since no
     LCA holds more than all n leaves.
     """
-    _check_tree_matrix(dist, tree)
+    _check_leaf_count(dist, tree)
     values = _lca_weighted_values(dist.values, tree)
     return ObjectiveReport("ckmm", tree, values, dist.n * float(dist.values.sum()) / 2.0)
 
@@ -529,7 +488,7 @@ def dasgupta_cost(weights: DistanceMatrix, tree: HierTree) -> ObjectiveReport:
     The `upper_bound` field carries the trivial lower bound instead: twice
     the sum of pairwise weights (every LCA holds at least two leaves).
     """
-    _check_tree_matrix(weights, tree)
+    _check_leaf_count(weights, tree)
     values = _lca_weighted_values(weights.values, tree)
     return ObjectiveReport("dasgupta", tree, values, float(weights.values.sum()))
 
@@ -544,7 +503,7 @@ def triangle_decompose(
     first. Adding twice the sum of all pairwise values reconstructs the
     ckmm / dasgupta total exactly.
     """
-    _check_tree_matrix(matrix, tree)
+    _check_leaf_count(matrix, tree)
     n = matrix.n
     if n < 3:
         raise ValueError("triangle decomposition needs at least three points")

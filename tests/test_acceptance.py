@@ -33,6 +33,7 @@ from hierclust import (
     triangle_decompose,
 )
 from hierclust.metricspace import close
+from revenue_oracle import assert_split_route_matches_pair_view
 
 
 def report(number, name, detail=""):
@@ -74,9 +75,7 @@ def test_criterion_1_mode_equivalence():
         pts = PointSet(g.standard_normal((n, dim)))
         for t in range(5):
             tree = random_tree(n, RngStream(1000 + k).substream(t))
-            a = tree_revenue(pts, tree, "split_sum").total
-            b = tree_revenue(pts, tree, "pair_sum").total
-            assert close(a, b, rel=1e-9)
+            assert_split_route_matches_pair_view(pts, tree, rel=1e-9)
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     report(1, "mode equivalence", f"(200 instances x 5 trees, {elapsed:.1f}s)")

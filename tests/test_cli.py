@@ -284,6 +284,55 @@ def test_negative_seed_is_data_error_naming_the_seed(capsys, line_csv, argv, fie
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "algo,objective,field",
+    [("random,random", "revenue", "algorithms"), ("random", "revenue,ckmm,revenue", "objectives")],
+)
+def test_table1_repeated_name_is_data_error_naming_the_field(capsys, algo, objective, field):
+    argv = ["experiment", "table1", "--synth-k", "2", "--synth-n", "30", "--synth-dim", "2",
+            "--subsample", "10", "--runs", "1", "--algo", algo, "--objective", objective]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {field} must not repeat a name, got ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array", ""])
+def test_out_of_memory_is_one_line_exit_2(capsys, monkeypatch, line_csv, message):
+    # The builder is patched to raise: a real allocation that size could
+    # succeed on a machine that overcommits memory, and then fill it.
+    def refuse(points, solver):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(harness, "bisecting_kmeans", refuse)
+    code, out, err = run(capsys, ["cluster", "--points", line_csv, "--algo", "bkm"])
+    assert code == 2
+    assert out == ""
+    assert err == ("error: out of memory" + (f": {message}" if message else "") + "\n")
+
+
+def test_byte_order_marked_files_read_as_unmarked(capsys, tmp_path):
+    points, tree = tmp_path / "p.csv", tmp_path / "t.txt"
+    points.write_bytes(b"\xef\xbb\xbf0,9\n1,9\n5,9\n")
+    tree.write_bytes(b"\xef\xbb\xbf((0,1),2)\n")
+    argv = ["eval", "--objective", "revenue", "--columns", "0,1",
+            "--points", str(points), "--tree-file", str(tree)]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "total,,,3.0"
+
+
+def test_blank_lines_count_in_reported_rows(capsys, tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("1,2\n\n3,x\n4,5\n")
+    code, _, err = run(capsys, ["cluster", "--points", str(path), "--algo", "single", "--columns", "0,1"])
+    assert (code, err) == (0, "rejected 1 row(s): [3]\n")
+    path.write_text("1,2\n\n3\n")
+    code, _, err = run(capsys, ["cluster", "--points", str(path), "--algo", "single"])
+    assert (code, err) == (2, "error: inconsistent column count at row 3: expected 2, got 1\n")
+
+
 def test_distance_matrix_guard_names_bytes_and_limit(monkeypatch):
     monkeypatch.setattr(harness, "_MAX_DISTANCE_BYTES", 71)
     assert harness._distances(hierclust.PointSet(np.zeros((2, 1)))).n == 2  # 32 bytes

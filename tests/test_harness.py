@@ -159,6 +159,55 @@ def test_ingest_errors(tmp_path):
         ingest_csv(str(textonly))
 
 
+@pytest.mark.parametrize(
+    "text,options,want",
+    [
+        # After a blank line the bad row is on line 3, the second data row.
+        ("1,2\n\n3,x\n4,5\n", IngestOptions(columns=(0, 1)), (3,)),
+        ("x,y\n\n1,q\n\n\n2,3\n4,z\n", IngestOptions(columns=(0, 1), skip_header=True), (3, 7)),
+        # A quoted cell holding a newline spans lines 2 and 3.
+        ('1,2\n"a\nb",3\n4,z\n', IngestOptions(columns=(0, 1)), (2, 4)),
+    ],
+)
+def test_rejected_rows_are_numbered_by_file_line(tmp_path, text, options, want):
+    path = tmp_path / "pts.csv"
+    path.write_text(text)
+    assert ingest_csv_report(str(path), options).rejected_rows == want
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [("1,2\n\n3\n", 3), ('1,2\n"a\nb",3\n\n4\n', 5), ("x\n\n1,2\n3\n", 4)],
+)
+def test_column_count_error_names_the_file_line(tmp_path, text, line):
+    path = tmp_path / "pts.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"inconsistent column count at row {line}: expected 2, got 1"):
+        ingest_csv_report(str(path), IngestOptions(skip_header=text.startswith("x")))
+
+
+@pytest.mark.parametrize("columns", [None, (0, 1)])
+def test_byte_order_mark_is_not_part_of_column_0(tmp_path, columns):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(b"1.5,2\r\n3,4\r\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    want = ingest_csv_report(str(plain), IngestOptions(columns=columns))
+    got = ingest_csv_report(str(marked), IngestOptions(columns=columns))
+    assert got.points.coords.tolist() == want.points.coords.tolist() == [[1.5, 2.0], [3.0, 4.0]]
+    assert (got.used_columns, got.dropped_columns, got.rejected_rows) == ((0, 1), (), ())
+
+
+def test_unreadable_csv_text_is_a_value_error(tmp_path):
+    # Bytes that are not UTF-8, and a cell past the csv module's field limit.
+    path = tmp_path / "pts.csv"
+    path.write_bytes(b"1,2\n\xff\xfe,3\n")
+    with pytest.raises(ValueError, match="can't decode byte 0xff"):
+        ingest_csv(str(path))
+    path.write_text("1," + "x" * 200_000 + "\n")
+    with pytest.raises(DataError, match=f"cannot read {path}: field larger than field limit"):
+        ingest_csv(str(path))
+
+
 def test_ingest_delimiter(tmp_path):
     path = tmp_path / "pts.tsv"
     path.write_text("1.0\t2.0\n3.0\t4.0\n")
@@ -364,6 +413,10 @@ def test_experiment_config_validation():
         mixture_config(algorithms=("bogus",))
     with pytest.raises(ValueError):
         mixture_config(objectives=("bogus",))
+    with pytest.raises(ValueError, match="algorithms must not repeat a name, got avg,random,avg"):
+        mixture_config(algorithms=("avg", "random", "avg"))
+    with pytest.raises(ValueError, match="objectives must not repeat a name, got ckmm,ckmm"):
+        mixture_config(objectives=("ckmm", "ckmm"))
     with pytest.raises(ValueError, match="lloyd_restarts"):
         mixture_config(lloyd_restarts=0)
     with pytest.raises(ValueError, match="base_seed must be a non-negative integer"):

@@ -32,6 +32,7 @@ from hierclust.objectives import (
     _subset_radii,
     _unit_scaled,
 )
+from revenue_oracle import assert_split_route_matches_pair_view, pair_view_values
 
 
 def line_points():
@@ -78,8 +79,8 @@ def test_equal_points_sit_on_their_centroid():
     # so every pair of this tree earns 1 by the delta = 0 convention.
     ps = PointSet(np.full((4, 1), 0.1))
     tree = HierTree.from_nested((((0, 1), 2), 3))
-    for mode in ("split_sum", "pair_sum"):
-        assert [v for _, v in tree_revenue(ps, tree, mode).per_split] == [3.0, 2.0, 1.0]
+    assert [v for _, v in tree_revenue(ps, tree).per_split] == [3.0, 2.0, 1.0]
+    assert pair_view_values(ps, tree) == [3.0, 2.0, 1.0]
     assert pair_revenue(ps, {0, 1, 2}, {3}, 0, 3) == 1.0
     assert high_revenue_stats(ps, {0, 1, 2}, {3}).fraction == 1.0
     radii = _subset_radii(_unit_scaled(ps.coords))
@@ -117,6 +118,23 @@ def test_pair_revenue_matches_three_way_max_form():
         assert close(got, want)
 
 
+@pytest.mark.parametrize("exponent", [600, -600])
+def test_pair_revenue_is_the_same_at_extreme_scales(exponent):
+    # Coordinates times 2^600 square past the float range, and times 2^-600
+    # square to 0; revenue is scale-invariant, so every pair keeps its bits.
+    g = np.random.Generator(np.random.PCG64(26))
+    cases = [np.array([[0.0], [1.0], [3.0], [7.0]])]
+    cases += [g.standard_normal((n, dim)) for n, dim in ((5, 1), (9, 3), (12, 2))]
+    cases.append(np.round(g.standard_normal((8, 2))))
+    for coords in cases:
+        n = len(coords)
+        left, right = set(range(n // 2)), set(range(n // 2, n))
+        scaled = PointSet(np.ldexp(coords, exponent))
+        for i, j in itertools.product(sorted(left), sorted(right)):
+            want = pair_revenue(PointSet(coords), left, right, i, j)
+            assert float.hex(pair_revenue(scaled, left, right, i, j)) == float.hex(want)
+
+
 # ----------------------------------------------------------------------
 # tree revenue
 
@@ -128,11 +146,11 @@ def test_tree_revenue_two_points():
 
 
 def test_tree_revenue_line_example_both_modes():
-    for mode in ("split_sum", "pair_sum"):
-        rep = tree_revenue(line_points(), line_tree(), mode)
-        assert rep.total == 3.0
-        assert rep.upper_bound == 3.0
-        assert [v for _, v in rep.per_split] == [2.0, 1.0]
+    rep = tree_revenue(line_points(), line_tree())
+    assert rep.total == 3.0
+    assert rep.upper_bound == 3.0
+    assert [v for _, v in rep.per_split] == [2.0, 1.0]
+    assert pair_view_values(line_points(), line_tree()) == [2.0, 1.0]
 
 
 def test_tree_revenue_modes_agree_random():
@@ -140,15 +158,11 @@ def test_tree_revenue_modes_agree_random():
     for k in range(25):
         n = int(g.integers(2, 20))
         ps = PointSet(g.standard_normal((n, int(g.integers(1, 4)))))
-        tree = random_tree(n, RngStream(800 + k))
-        a = tree_revenue(ps, tree, "split_sum").total
-        b = tree_revenue(ps, tree, "pair_sum").total
-        assert close(a, b)
+        assert_split_route_matches_pair_view(ps, random_tree(n, RngStream(800 + k)))
 
 
 def _pair_revenue_calls(points: PointSet, tree: HierTree):
     """Per-split revenue as one `pair_revenue` call per pair, in (i, j) order."""
-    points = PointSet(_unit_scaled(points.coords))
     sides = [(frozenset(l.tolist()), frozenset(r.tolist())) for _, l, r in tree.split_arrays()]
     values = [0.0] * len(sides)
     for i, j in itertools.combinations(range(points.n), 2):
@@ -172,34 +186,10 @@ def test_pair_sum_splits_equal_pair_revenue_calls():
     cases.append(PointSet(np.zeros((6, 2))))
     for k, ps in enumerate(cases):
         tree = random_tree(ps.n, RngStream(700 + k))
-        got = [v for _, v in tree_revenue(ps, tree, "pair_sum").per_split]
+        got = pair_view_values(ps, tree)
         want = _pair_revenue_calls(ps, tree)
         assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
-
-
-def _centroid(pts):
-    return pts[0] if (pts == pts[0]).all() else pts.mean(axis=0)
-
-
-def _loop_pair_revenue_values(coords: np.ndarray, tree: HierTree):
-    """`pair_sum` before its array pass: a Python loop over the n(n-1)/2 pairs, in (i, j) order."""
-    arrays = tree.split_arrays()
-    n = len(coords)
-    radius = np.zeros((len(arrays), n))
-    for s, (_, l, r) in enumerate(arrays):
-        for side in (np.sort(l), np.sort(r)):
-            q = coords[side] - _centroid(coords[side])
-            radius[s, side] = np.sqrt((q * q).sum(axis=1))
-    radii = radius.tolist()
-    values = [0.0] * len(arrays)
-    for i, row in enumerate(tree._split_index().tolist()):
-        diff = coords[i] - coords[i + 1 :]
-        dist = np.sqrt((diff * diff).sum(axis=1)).tolist()
-        for j in range(i + 1, n):
-            s = row[j]
-            delta = max(radii[s][i], radii[s][j])
-            values[s] += 1.0 if delta == 0.0 else min(dist[j - i - 1] / delta, 1.0)
-    return values
+        assert_split_route_matches_pair_view(ps, tree)
 
 
 def _caterpillar(n):
@@ -207,12 +197,6 @@ def _caterpillar(n):
     for i in range(1, n):
         nested = (nested, i)
     return HierTree.from_nested(nested)
-
-
-def _assert_pair_sum_matches_loop(points, tree):
-    got = tree_revenue(points, tree, "pair_sum").values
-    want = _loop_pair_revenue_values(_unit_scaled(points.coords), tree)
-    assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 9, 33])
@@ -229,7 +213,7 @@ def test_pair_sum_matches_the_pair_loop(dim):
     for k, (points, shape) in enumerate(cases):
         n = points.n
         tree = random_tree(n, RngStream(k, (dim,))) if shape == "random" else _caterpillar(n)
-        _assert_pair_sum_matches_loop(points, tree)
+        assert_split_route_matches_pair_view(points, tree)
 
 
 def test_pair_sum_matches_the_pair_loop_on_random_bad_instances():
@@ -238,9 +222,9 @@ def test_pair_sum_matches_the_pair_loop_on_random_bad_instances():
     for k in (2, 8, 16):
         spec = RandomBadInstanceSpec(k)
         points = build_random_bad_instance(spec)
-        _assert_pair_sum_matches_loop(points, clean_reference_tree(spec))
+        assert_split_route_matches_pair_view(points, clean_reference_tree(spec))
         for t in range(3):
-            _assert_pair_sum_matches_loop(points, random_tree(points.n, RngStream(k, (t,))))
+            assert_split_route_matches_pair_view(points, random_tree(points.n, RngStream(k, (t,))))
 
 
 def _reference_revenue_values(coords, tree):
@@ -382,10 +366,13 @@ def test_tree_revenue_scale_invariant():
 
 
 def test_tree_revenue_input_checks():
-    with pytest.raises(ValueError):
-        tree_revenue(line_points(), HierTree.from_nested((0, 1)))
-    with pytest.raises(ValueError):
-        tree_revenue(line_points(), line_tree(), mode="bogus")
+    small = HierTree.from_nested((0, 1))
+    with pytest.raises(ValueError, match="tree has 2 leaves but there are 3 points"):
+        tree_revenue(line_points(), small)
+    dist = pairwise_distances(line_points())
+    for score in (ckmm_value, dasgupta_cost, triangle_decompose):
+        with pytest.raises(ValueError, match="tree has 2 leaves but there are 3 points"):
+            score(dist, small)
 
 
 def test_single_point_tree_revenue():
@@ -784,7 +771,6 @@ def test_reports_build_no_split_until_per_split_is_read(monkeypatch):
     tree = random_tree(9, RngStream(40))
     reports = [
         tree_revenue(points, tree),
-        tree_revenue(points, tree, "pair_sum"),
         ckmm_value(dist, tree),
         dasgupta_cost(dist, tree),
     ]
