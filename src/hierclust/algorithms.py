@@ -26,8 +26,10 @@ Four builders, all emitting the same dendrogram type:
   inter-cluster distance. Each row caches its nearest live partner and a
   merge rescans only the rows it touches (Muellner's "generic" algorithm),
   so typical cost is O(n^2) time and one n x n working copy of the matrix.
-  A rescan reads the row's contiguous slice, with +inf added at the
-  columns of merged-away clusters.
+  The copy is scaled by the power of two that brings the largest entry
+  into [0.5, 1), so every cluster total stays below n^2 and every score is
+  finite. A rescan reads the row's contiguous slice, with +inf added at
+  the columns of merged-away clusters.
 * random_tree -- divisive baseline assigning each point to a side by an
   independent fair coin at every node.
 
@@ -266,11 +268,11 @@ def _exhaustive_two_means(coords: np.ndarray, ids: np.ndarray) -> Sides:
     return side1, side2, float(cost)
 
 
-# `_move_test` trusts its upper bound 2r only for r in this range. There no
-# squared distance up to (2r)^2 overflows, and what a square loses to
-# underflow is far below its rounding error; outside it, every move above
-# the lower bound computes the exact diameter.
-_BRACKET_RANGE = (2.0**-460, 2.0**500)
+# `_move_test` trusts its upper bound 2r only for r at least this. Below
+# it, what a squared distance loses to underflow may pass its rounding
+# error, so every move above the lower bound computes the exact diameter.
+# Unit-scaled coordinates keep r below 2 sqrt(dim), so no square overflows.
+_BRACKET_MIN = 2.0**-460
 
 
 def _squared_distances(pts: np.ndarray, owner: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -415,8 +417,7 @@ def _move_test(
     # sqrt is monotone, so the largest distance is the root of the largest square.
     r = np.sqrt(d2.max(axis=1))
     low = tol * r
-    in_range = (_BRACKET_RANGE[0] <= r) & (r <= _BRACKET_RANGE[1])
-    high = np.where(in_range, tol * (2.0 * r) * (1.0 + (dim + 4) * 2.0**-50), np.inf)
+    high = np.where(r >= _BRACKET_MIN, tol * (2.0 * r) * (1.0 + (dim + 4) * 2.0**-50), np.inf)
     diameter = {}
 
     def passes(node: np.ndarray, move: np.ndarray) -> np.ndarray:
@@ -490,7 +491,10 @@ def _lloyd_batch(
 ) -> List[Sides]:
     """Best of `lloyd_restarts` k-means++ seeded Lloyd runs for each of `nodes`.
 
-    Every node is an ascending index array of at least three points. Run
+    `coords` are unit-scaled (`_unit_scaled`), as `bisecting_kmeans` and
+    `two_means` pass them: every |entry| is below 1, so every distance is
+    below 2 sqrt(dim) and no square overflows. Every node is an ascending
+    index array of at least three points. Run
     k * restarts + r is restart r of node k; `first` and `draws` are its
     `integers(m)` and `random()` draws (`_restart_draws`). All runs go as
     one batch, and each leaves it when its node's move test passes; a
@@ -743,17 +747,20 @@ def _agglomerate(dist: DistanceMatrix, mode: str) -> HierTree:
     if n == 1:
         return HierTree([0], 0)
     # state[a, b]: total (average mode) or minimum (single mode) cross
-    # distance between the live clusters in slots a and b. A merge keeps the
-    # lower slot, so every slot's smallest leaf is the slot itself and the
-    # tie key (smaller min-leaf, larger min-leaf) is the slot pair (a, b).
-    state = dist.values.copy()
+    # distance between the live clusters in slots a and b, on the matrix
+    # scaled by the power of two that brings its largest entry into
+    # [0.5, 1). Every total is then below n^2, so every score is finite.
+    # A merge keeps the lower slot, so every slot's smallest leaf is the
+    # slot itself and the tie key (smaller min-leaf, larger min-leaf) is
+    # the slot pair (a, b).
+    state = np.ldexp(dist.values, -math.frexp(float(dist.values.max()))[1])
     size = np.ones(n, dtype=np.float64)
-    alive = np.ones(n, dtype=bool)
     # dead[c]: 0.0 while slot c is live, +inf once it has merged away.
     dead = np.zeros(n)
     # best[r]: the minimum score over live slots c > r; arg[r]: the first
-    # such c, or -1 when there is none. Row-major order over a < b is then
-    # the tie order, so the pick is the first row holding the minimum.
+    # such c, or -1 when there is none, as for every dead row. Row-major
+    # order over a < b is then the tie order, so the pick is the first row
+    # holding the minimum.
     best = np.full(n, np.inf)
     arg = np.full(n, -1, dtype=np.intp)
     node_of = list(range(n))
@@ -765,29 +772,18 @@ def _agglomerate(dist: DistanceMatrix, mode: str) -> HierTree:
         return state[r, cols]
 
     def refresh(r: int) -> None:
-        # Every score is >= 0.0 and x + 0.0 == x, so the whole slice past r,
-        # plus `dead`, holds each live score as it is and +inf for dead
-        # columns: a finite minimum's first column is the first live one.
+        # Every score is finite and >= 0.0, and x + 0.0 == x, so the slice
+        # past r, plus `dead`, holds each live score as it is and +inf at
+        # dead columns: its minimum is finite exactly when a live column
+        # remains, and its first column is then the first live one.
         row = scores(r, slice(r + 1, None)) + dead[r + 1 :]
         k = int(row.argmin())
-        if row[k] < np.inf:
-            best[r], arg[r] = row[k], r + 1 + k
-            return
-        # Every live score overflowed, or no column is live: scan live ones.
-        cols = np.flatnonzero(alive[r + 1 :]) + (r + 1)
-        if cols.size == 0:
-            best[r], arg[r] = np.inf, -1
-            return
-        row = scores(r, cols)
-        k = int(row.argmin())
-        best[r], arg[r] = row[k], cols[k]
+        best[r], arg[r] = row[k], r + 1 + k if row[k] < np.inf else -1
 
     for r in range(n - 1):
         refresh(r)
     for _ in range(n - 1):
         a = int(best.argmin())
-        if arg[a] < 0:  # every live score overflowed to inf
-            a = int(np.flatnonzero(arg >= 0)[0])
         b = int(arg[a])
         nodes.append((node_of[a], node_of[b]))
         node_of[a] = len(nodes) - 1
@@ -797,14 +793,13 @@ def _agglomerate(dist: DistanceMatrix, mode: str) -> HierTree:
             state[a, :] = np.minimum(state[a, :], state[b, :])
         state[:, a] = state[a, :]
         size[a] += size[b]
-        alive[b] = False
         dead[b] = np.inf
         best[b], arg[b] = np.inf, -1
-        # Rows whose cached partner was a or b rescan; the other live rows
-        # above a only need to compare their cached minimum with (c, a).
-        stale = alive & ((arg == a) | (arg == b))
-        stale[a] = True
-        above = np.flatnonzero(alive[:a] & ~stale[:a])
+        # Rows whose cached partner was a or b rescan. The other live rows
+        # above a, which all have a partner since a is live, only need to
+        # compare their cached minimum with (c, a).
+        stale = (arg == a) | (arg == b)
+        above = np.flatnonzero((arg[:a] >= 0) & ~stale[:a])
         new = scores(a, above)
         take = (new < best[above]) | ((new == best[above]) & (a < arg[above]))
         best[above[take]] = new[take]
@@ -822,6 +817,13 @@ def average_linkage(dist: DistanceMatrix) -> HierTree:
     randomness. Internal nodes are numbered n .. 2n-2 in merge order.
     Typical cost is O(n^2) time (O(n^3) in the worst case, when most merges
     invalidate most cached row minima) and one n x n working copy of `dist`.
+
+    The working copy is `dist` times the power of two that brings its
+    largest entry into [0.5, 1), so no cluster total overflows, however
+    large the finite entries. The scale is exact: the tree is that of the
+    unscaled matrix, and of `dist` times any power of two, whenever no
+    scaled entry, total or mean is subnormal; for example, when the
+    smallest nonzero entry is at least 2^-900 of the largest.
     """
     return _agglomerate(dist, "average")
 
@@ -830,6 +832,8 @@ def single_linkage(dist: DistanceMatrix) -> HierTree:
     """As average_linkage, but merging by minimum single inter-cluster distance.
 
     Same tie rule, node numbering and cost: typical O(n^2) time and one
-    n x n working copy of `dist`.
+    n x n working copy of `dist`, scaled as average_linkage scales it.
+    Single linkage only compares entries, so its tree keeps to the scale
+    rule there whenever no scaled nonzero entry is subnormal.
     """
     return _agglomerate(dist, "single")

@@ -429,21 +429,25 @@ def run_random_bad(sizes: Sequence[int], trials: int, rng: RngStream) -> List[Ra
     For each n the instance has n^2 + n points and a known exact optimum;
     `trials` independent random trees are scored against it. The clean
     reference tree's ratio is reported alongside and should always be 1.
+    Every size is checked before any tree is drawn: each must be at least 2,
+    and none may repeat, since a repeat would draw the same trees again.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    specs = [RandomBadInstanceSpec(int(n)) for n in sizes]
+    if len({spec.n for spec in specs}) < len(specs):
+        raise ValueError(f"sizes must not repeat a value, got {','.join(str(s.n) for s in specs)}")
     out = []
-    for n in sizes:
-        spec = RandomBadInstanceSpec(int(n))
+    for spec in specs:
         points = build_random_bad_instance(spec)
         opt = spec.optimal_revenue()
         ref = tree_revenue(points, clean_reference_tree(spec)).total / opt
         ratios = []
         for t in range(trials):
-            tree = random_tree(points.n, rng.substream(int(n), t))
+            tree = random_tree(points.n, rng.substream(spec.n, t))
             ratios.append(tree_revenue(points, tree).total / opt)
         mean, std = _mean_std(ratios)
-        out.append(RandomBadRow(int(n), mean, std, ref))
+        out.append(RandomBadRow(spec.n, mean, std, ref))
     return out
 
 

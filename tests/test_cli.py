@@ -414,6 +414,25 @@ def test_experiment_random_bad(capsys):
         assert line.split(",")[3] == "1.0"
 
 
+@pytest.mark.parametrize(
+    "sizes,message",
+    [("12,1", "error: n must be at least 2"), ("12,12", "error: sizes must not repeat a value")],
+)
+def test_random_bad_checks_every_size_before_drawing(capsys, monkeypatch, sizes, message):
+    drawn = []
+
+    def refuse(*args):
+        drawn.append(args)
+        raise AssertionError("random_tree was called")
+
+    monkeypatch.setattr(harness, "random_tree", refuse)
+    argv = ["experiment", "random-bad", "--sizes", sizes, "--trials", "200"]
+    code, out, err = run(capsys, argv)
+    assert (code, out, drawn) == (2, "", [])
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message), err
+
+
 def test_ingest_reporting_on_stderr(capsys, tmp_path):
     mixed = tmp_path / "mixed.csv"
     mixed.write_text("1.0,red\n2.0,blue\n")

@@ -4,9 +4,12 @@
 per-row cached minima: every merge rebuilds the whole score matrix and picks
 the smallest (min-leaf, min-leaf) key among the minima. The library must
 return the same node tuples and root on every input below, most of them
-chosen for their ties.
+chosen for their ties. The library scores the matrix scaled by the power of
+two that brings its largest entry into [0.5, 1). That scale is exact, so
+wherever the oracle's sums stay finite and normal it compares the same values.
 """
 
+import math
 from typing import List, Tuple, Union
 
 import numpy as np
@@ -175,9 +178,8 @@ def _dead_then_minimum() -> np.ndarray:
     return values
 
 
-# Matrices whose average-linkage sums overflow, so that rows hold only
-# inf live scores beside dead columns, and matrices with a row minimum
-# just after a dead column.
+# Matrices whose unscaled average-linkage sums overflow, and matrices with
+# a row minimum just after a dead column.
 SLICE_INPUTS = {
     "overflow_pairs_8": _paired(8, 1e308),
     "overflow_pairs_9": _paired(9, 1e308),
@@ -189,24 +191,67 @@ SLICE_INPUTS = {
 }
 
 
+def _exactly_scaled(dist: DistanceMatrix, top: int = 0) -> DistanceMatrix:
+    """`dist` times the power of two that brings its largest entry into [2^(top-1), 2^top)."""
+    return DistanceMatrix(np.ldexp(dist.values, top - math.frexp(float(dist.values.max()))[1]))
+
+
 @pytest.mark.parametrize("mode,build", BUILDERS, ids=[m for m, _ in BUILDERS])
 @pytest.mark.parametrize("name", sorted(SLICE_INPUTS))
 def test_linkage_matches_full_rescan_past_dead_columns(name, mode, build):
     values = np.triu(SLICE_INPUTS[name], 1)
     dist = DistanceMatrix(values + values.T)
-    with np.errstate(over="ignore"):
-        got = build(dist)
-        want = _reference_agglomerate(dist, mode)
+    got = build(dist)
+    # The oracle sums raw entries, which overflow on these; the exactly
+    # scaled matrix holds the values the library compares.
+    want = _reference_agglomerate(_exactly_scaled(dist) if "overflow" in name else dist, mode)
     assert (got.root, got.nodes) == (want.root, want.nodes)
 
 
 def test_average_linkage_survives_overflowing_cluster_sums():
-    # Average linkage sums cross distances; at this scale the sums overflow
-    # to inf, and the builder must still merge only live clusters. The
-    # full-rescan loop merged a dead slot here ("node 1 has two parents").
+    # Average linkage sums cross distances; unscaled, these sums overflow to
+    # inf, and the full-rescan loop merged a dead slot here ("node 1 has two
+    # parents"). The builder must merge only live clusters, without warning.
     values = np.full((4, 4), 1e308)
     np.fill_diagonal(values, 0.0)
-    with np.errstate(over="ignore"):
-        tree = average_linkage(DistanceMatrix(values))
+    tree = average_linkage(DistanceMatrix(values))
     assert tree.n_leaves == 4
     assert tree.root == 6
+
+
+@pytest.mark.parametrize("mode,build", BUILDERS, ids=[m for m, _ in BUILDERS])
+def test_linkage_tree_is_unchanged_by_a_power_of_two_scale(mode, build):
+    # No scaled entry is subnormal, so every comparison and tie is the
+    # unscaled one. No np.errstate here: a RuntimeWarning fails the test.
+    for name, dist in sorted(INPUTS.items()):
+        want = build(dist)
+        for scaled in (
+            DistanceMatrix(np.ldexp(dist.values, -600)),
+            DistanceMatrix(np.ldexp(dist.values, 600)),
+            _exactly_scaled(dist, top=1023),
+        ):
+            got = build(scaled)
+            assert (got.root, got.nodes) == (want.root, want.nodes), (name, scaled.values.max())
+
+
+def test_average_linkage_compares_means_past_the_float_range():
+    # {0, 1} with 2 has mean distance 1e308, below d(2, 3) = 1.5e308, so
+    # 2 joins {0, 1} second. Unscaled, the sums 2e308 and 3.4e308 overflow
+    # to inf, and (2, 3) merged instead.
+    values = np.zeros((4, 4))
+    for (i, j), d in {(0, 1): 1.0, (0, 2): 1e308, (1, 2): 1e308, (2, 3): 1.5e308}.items():
+        values[i, j] = values[j, i] = d
+    values[[0, 1], 3] = values[3, [0, 1]] = 1.7e308
+    assert average_linkage(DistanceMatrix(values)).to_nested() == (((0, 1), 2), 3)
+
+
+@pytest.mark.parametrize("mode,build", BUILDERS, ids=[m for m, _ in BUILDERS])
+def test_linkage_builds_from_subnormal_entries(mode, build):
+    # The largest entry is 5e-324 = 2^-1074. Scaling it up takes 2^1073,
+    # which math.ldexp(1.0, 1073) cannot hold but np.ldexp applies exactly.
+    levels = INPUTS["equal_entries_2_levels"].values - 1.0
+    np.fill_diagonal(levels, 0.0)
+    got = build(DistanceMatrix(levels * 5e-324))
+    want = build(DistanceMatrix(levels))
+    assert (got.root, got.nodes) == (want.root, want.nodes)
+    assert got.nodes == _reference_agglomerate(DistanceMatrix(levels), mode).nodes
